@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence
 
-from .linear import LinComb, Scalar
+from .linear import LinComb, Scalar, bilinear
 from .trees import (
     Tree,
     factorize,
@@ -56,11 +56,7 @@ _CIRCLE_CACHE: dict = {}
 
 def circle(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear extension of the circle product on basis trees."""
-    out = LinComb.zero()
-    for t, a in x.items():
-        for w, b in y.items():
-            out = out + circle_trees(t, w) * (a * b)
-    return out
+    return bilinear(circle_trees, x, y)
 
 
 def circle_trees(t: Tree, w: Tree) -> LinComb:
@@ -81,23 +77,20 @@ def circle_trees(t: Tree, w: Tree) -> LinComb:
         u, a = unwrap_root(w)
         result = circle(circle_trees(t, u), LinComb.term(leaf(a)))
     else:
+        # Σ_i (t·w1…w_{i-1})∘w_i · w_{i+1}…w_m − Σ_{i>1} t·((w1…w_{i-1})∘w_i) · w_{i+1}…w_m
         factors = factorize(w)
         m = len(factors)
-        result = LinComb.zero()
+        pairs = []
         for i in range(m):
-            head = reduce(root_concat, factors[:i], t)
-            piece = circle_trees(head, factors[i])
+            pieces = [(circle_trees(reduce(root_concat, factors[:i], t), factors[i]), 1)]
+            if i:
+                head = reduce(root_concat, factors[:i])
+                pieces.append((dot(LinComb.term(t), circle_trees(head, factors[i])), -1))
             if i + 1 < m:
-                tail = reduce(root_concat, factors[i + 1 :])
-                piece = dot(piece, LinComb.term(tail))
-            result = result + piece
-        for i in range(1, m):
-            head = reduce(root_concat, factors[:i])
-            piece = dot(LinComb.term(t), circle_trees(head, factors[i]))
-            if i + 1 < m:
-                tail = reduce(root_concat, factors[i + 1 :])
-                piece = dot(piece, LinComb.term(tail))
-            result = result - piece
+                tail = LinComb.term(reduce(root_concat, factors[i + 1 :]))
+                pieces = [(dot(piece, tail), sign) for piece, sign in pieces]
+            pairs += pieces
+        result = LinComb.sum(pairs)
 
     _CIRCLE_CACHE[key] = result
     return result
@@ -131,10 +124,6 @@ def _as_vector(coords: Sequence[Scalar], dim: int) -> Vector:
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c: Scalar, v: Vector) -> Vector:

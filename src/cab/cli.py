@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .linear import LinComb, to_records
-from .trees import TreeSyntaxError, enumerate_trees, parse_tree
+from .trees import TreeSyntaxError, check_palette, enumerate_trees, parse_tree
 from .algebra import circle, dot, star
 from .infinitesimal import (
     coproduct,
@@ -49,7 +49,7 @@ def _palette(arg: str) -> list[str]:
     colors = [c.strip() for c in arg.split(",") if c.strip()]
     if not colors:
         raise UsageError(f"bad color list {arg!r}")
-    return colors
+    return list(check_palette(colors))
 
 
 def _emit_lincomb(x: LinComb, as_json: bool) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
-from .linear import LinComb, Tensor, apply_on_leg, tensor
+from .linear import LinComb, Tensor, apply_on_leg, linear_map, tensor
 from .trees import (
     Tree,
     canonical_vertex_order,
@@ -86,10 +86,7 @@ def _leaf_tree(color: str) -> Tree:
 
 def coproduct(x: LinComb) -> LinComb:
     """Linear extension of the tree coproduct."""
-    out = LinComb.zero()
-    for t, c in x.items():
-        out = out + coproduct_tree(t) * c
-    return out
+    return linear_map(coproduct_tree, x)
 
 
 def coproduct_closed(t: Tree) -> LinComb:
@@ -133,14 +130,13 @@ def infinitesimal_residual(product, x: LinComb, y: LinComb) -> LinComb:
     ("star", alpha, beta); in particular ("star", -1, 1) has no x⊗y term.
     """
     mul, weight = _product_and_weight(product)
-    residual = coproduct(mul(x, y))
-    for key, c in coproduct(x).items():
-        x1, x2 = key.legs
-        residual = residual - tensor(LinComb.term(x1), mul(LinComb.term(x2), y)) * c
-    for key, c in coproduct(y).items():
-        y1, y2 = key.legs
-        residual = residual - tensor(mul(x, LinComb.term(y1)), LinComb.term(y2)) * c
-    return residual - tensor(x, y) * weight
+    left = linear_map(
+        lambda k: tensor(LinComb.term(k.legs[0]), mul(LinComb.term(k.legs[1]), y)), coproduct(x)
+    )
+    right = linear_map(
+        lambda k: tensor(mul(x, LinComb.term(k.legs[0])), LinComb.term(k.legs[1])), coproduct(y)
+    )
+    return LinComb.sum([(coproduct(mul(x, y)), 1), (left, -1), (right, -1), (tensor(x, y), -weight)])
 
 
 _PROJECTOR_CACHE: dict = {}
@@ -152,20 +148,16 @@ def primitive_projector(x: LinComb) -> LinComb:
     Vanishes on dot products of positive-degree elements; fixes primitives;
     its image has zero coproduct.
     """
-    out = LinComb.zero()
-    for t, c in x.items():
-        out = out + _projector_tree(t) * c
-    return out
+    return linear_map(_projector_tree, x)
 
 
 def _projector_tree(t: Tree) -> LinComb:
     cached = _PROJECTOR_CACHE.get(t)
     if cached is not None:
         return cached
-    result = LinComb.term(t)
-    for key, c in coproduct_tree(t).items():
-        t1, t2 = key.legs
-        result = result - dot(LinComb.term(t1), _projector_tree(t2)) * c
+    result = LinComb.term(t) - linear_map(
+        lambda k: dot(LinComb.term(k.legs[0]), _projector_tree(k.legs[1])), coproduct_tree(t)
+    )
     _PROJECTOR_CACHE[t] = result
     return result
 
@@ -176,18 +168,14 @@ def primitive_projector_series(x: LinComb) -> LinComb:
     e(x) = Σ_{k>=0} (−1)^k (fold of dot)(Δ^{(k)}(x)) where Δ^{(k)} is the
     k-fold iterated coproduct; the sum stops once the iterate vanishes.
     """
-    out = x
+    pairs = [(x, 1)]
     current = coproduct(x)
     sign = -1
     while current:
-        folded = LinComb.zero()
-        for key, c in current.items():
-            prod = reduce(root_concat, key.legs)
-            folded = folded + LinComb.term(prod, c)
-        out = out + folded * sign
+        pairs.append((current.map_keys(lambda key: reduce(root_concat, key.legs)), sign))
         current = apply_on_leg(coproduct_tree, current, 0)
         sign = -sign
-    return out
+    return LinComb.sum(pairs)
 
 
 def n_op(n: int, xs: Sequence[LinComb]) -> LinComb:
@@ -255,18 +243,16 @@ def n_relation_residual(rel, xs: Sequence[LinComb]) -> LinComb:
     if kind == "R1":
         n = rel[1]
         lhs = N(xs[: n - 1] + [N(xs[n - 1 : n + 1])])
-        rhs = LinComb.zero()
-        for i in range(1, n):
-            rhs = rhs + N(xs[: i - 1] + [N(xs[i - 1 : n])] + [xs[n]])
-        return lhs - rhs
+        rhs = [(N(xs[: i - 1] + [N(xs[i - 1 : n])] + [xs[n]]), 1) for i in range(1, n)]
+        return lhs - LinComb.sum(rhs)
     if kind == "R2":
         n = rel[1]
         lhs = N([xs[0], N(xs[1 : n + 1])])
-        rhs = N([N(xs[0:2])] + xs[2 : n + 1])
+        rhs = [(N([N(xs[0:2])] + xs[2 : n + 1]), 1)]
         for i in range(3, n + 1):
             inner = N(xs[1 : n + 3 - i])
-            rhs = rhs - N([xs[0], inner] + xs[n + 3 - i : n + 1])
-        return lhs - rhs
+            rhs.append((N([xs[0], inner] + xs[n + 3 - i : n + 1]), -1))
+        return lhs - LinComb.sum(rhs)
     if kind == "R3":
         n, r = rel[1], rel[2]
         # argument layout: x, y₁..y_{n-2}, z, t₁..t_{r-2}, w
@@ -274,14 +260,14 @@ def n_relation_residual(rel, xs: Sequence[LinComb]) -> LinComb:
         ts = xs[n : n + r - 2]
         w = xs[n + r - 2]
         lhs = N(xs[: n - 1] + [N([z] + ts + [w])])
-        rhs = N([N(xs[:n])] + ts + [w])
+        rhs = [(N([N(xs[:n])] + ts + [w]), 1)]
         for i in range(1, n - 1):
             inner = N(xs[i:n])
-            rhs = rhs + N([xs[0]] + xs[1:i] + [inner] + ts + [w])
+            rhs.append((N([xs[0]] + xs[1:i] + [inner] + ts + [w]), 1))
         for i in range(1, r - 1):
             inner = N([z] + ts[:i])
-            rhs = rhs - N(xs[: n - 1] + [inner] + ts[i:] + [w])
-        return lhs - rhs
+            rhs.append((N(xs[: n - 1] + [inner] + ts[i:] + [w]), -1))
+        return lhs - LinComb.sum(rhs)
     raise ValueError(f"unknown relation {rel!r}")
 
 
@@ -306,22 +292,22 @@ def n_aux_residual(name, xs: Sequence[LinComb]) -> LinComb:
         raise ValueError("ind_* need at least two arguments")
     if name == "ind_i":
         lhs = N([reduce(dot, xs[: n - 1]), xs[n - 1]])
-        rhs = LinComb.zero()
+        rhs = []
         for j in range(n - 1):
             term = N(xs[j:])
             if j:
                 term = dot(reduce(dot, xs[:j]), term)
-            rhs = rhs + term
-        return lhs - rhs
+            rhs.append((term, 1))
+        return lhs - LinComb.sum(rhs)
     if name == "ind_ii":
         lhs = N([xs[0], reduce(dot, xs[1:])])
-        rhs = LinComb.zero()
+        rhs = []
         for j in range(n - 1):
             term = N(xs[: n - j])
             if j:
                 term = dot(term, reduce(dot, xs[n - j :]))
-            rhs = rhs + term
-        return lhs - rhs
+            rhs.append((term, 1))
+        return lhs - LinComb.sum(rhs)
     raise ValueError(f"unknown identity {name!r}")
 
 

@@ -9,16 +9,49 @@ means exactly zero.
 Basis keys only need to be hashable and to render a canonical text via
 ``str``; the text is used for deterministic term ordering in output and for
 pivot selection during rank computation.
+
+All accumulation goes through one in-place merge (``_merge``), which adds or
+subtracts coefficients key by key and drops any that cancel.  A new structure
+map is written as a basis-level function returning a LinComb and extended
+with ``linear_map`` or ``bilinear`` (or, for a signed sum of pieces,
+``LinComb.sum``), never as a loop that adds each scaled image to a running
+sum, which copies the whole sum on every step.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping
 
 Scalar = Fraction | int
 
 _ZERO = Fraction(0)
+
+
+def _merge(
+    data: dict, items: Iterable[tuple[Hashable, Scalar]], op: Callable = operator.add
+) -> dict:
+    """Set ``data[key] = op(data[key], c)`` for each pair, in place.
+
+    A missing key counts as ``Fraction(0)``, so integer coefficients come out
+    as ``Fraction``; a coefficient that cancels to zero is dropped.
+    """
+    get = data.get
+    for key, c in items:
+        s = op(get(key, _ZERO), c)
+        if s:
+            data[key] = s
+        else:
+            data.pop(key, None)
+    return data
+
+
+def _wrap(data: dict) -> "LinComb":
+    """A LinComb owning ``data``, whose values must be nonzero Fractions."""
+    out = LinComb.__new__(LinComb)
+    out._terms = data
+    return out
 
 
 class LinComb:
@@ -31,28 +64,36 @@ class LinComb:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable[tuple[Hashable, Scalar]] = ()):
-        data: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, coeff in items:
-            c = data.get(key, _ZERO) + coeff
-            if c:
-                data[key] = c if isinstance(c, Fraction) else Fraction(c)
-            else:
-                data.pop(key, None)
-        self._terms = data
+        self._terms = _merge({}, items)
 
     @classmethod
     def term(cls, key, coeff: Scalar = 1) -> "LinComb":
-        out = cls.__new__(cls)
         c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-        out._terms = {key: c} if c else {}
-        return out
+        return _wrap({key: c} if c else {})
 
     @classmethod
     def zero(cls) -> "LinComb":
-        out = cls.__new__(cls)
-        out._terms = {}
-        return out
+        return _wrap({})
+
+    @staticmethod
+    def sum(pairs: Iterable[tuple["LinComb", Scalar]]) -> "LinComb":
+        """Σ c·v over the ``(v, c)`` pairs, accumulated in one dict.
+
+        A scalar of ±1 merges v's coefficients without multiplying them.
+        """
+        data: dict = {}
+        for v, c in pairs:
+            if c == 1:
+                if data:
+                    _merge(data, v._terms.items())
+                else:
+                    data.update(v._terms)  # nothing to merge with yet
+            elif c == -1:
+                _merge(data, v._terms.items(), operator.sub)
+            elif c:
+                _merge(data, ((k, a * c) for k, a in v._terms.items()))
+        return _wrap(data)
 
     def items(self):
         return self._terms.items()
@@ -89,35 +130,15 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        data = dict(self._terms)
-        for key, c in other._terms.items():
-            s = data.get(key, _ZERO) + c
-            if s:
-                data[key] = s
-            else:
-                data.pop(key, None)
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+        return _wrap(_merge(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        data = dict(self._terms)
-        for key, c in other._terms.items():
-            s = data.get(key, _ZERO) - c
-            if s:
-                data[key] = s
-            else:
-                data.pop(key, None)
-        out = LinComb.__new__(LinComb)
-        out._terms = data
-        return out
+        return _wrap(_merge(dict(self._terms), other._terms.items(), operator.sub))
 
     def __neg__(self) -> "LinComb":
-        out = LinComb.__new__(LinComb)
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return _wrap({k: -c for k, c in self._terms.items()})
 
     def __mul__(self, scalar: Scalar) -> "LinComb":
         if not isinstance(scalar, (int, Fraction)):
@@ -125,9 +146,7 @@ class LinComb:
         if not scalar:
             return LinComb.zero()
         s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
-        out = LinComb.__new__(LinComb)
-        out._terms = {k: c * s for k, c in self._terms.items()}
-        return out
+        return _wrap({k: c * s for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -182,13 +201,16 @@ class Tensor:
         return f"Tensor{self.legs!r}"
 
 
+def linear_map(f: Callable, x: LinComb) -> LinComb:
+    """Extend a basis-level map (returning a LinComb) linearly."""
+    return LinComb.sum((f(k), c) for k, c in x.items())
+
+
 def bilinear(f: Callable, x: LinComb, y: LinComb) -> LinComb:
     """Extend a basis-level binary map (returning a LinComb) bilinearly."""
-    out = LinComb.zero()
-    for kx, cx in x.items():
-        for ky, cy in y.items():
-            out = out + f(kx, ky) * (cx * cy)
-    return out
+    return LinComb.sum(
+        (f(kx, ky), cx * cy) for kx, cx in x.items() for ky, cy in y.items()
+    )
 
 
 def tensor(x: LinComb, y: LinComb) -> LinComb:
@@ -212,18 +234,20 @@ def apply_on_leg(f: Callable, x: LinComb, leg: int) -> LinComb:
     ``f`` takes a component key and returns a LinComb (over plain keys or
     tensor keys, which get spliced flat into place).
     """
-    out = LinComb.zero()
-    for key, c in x.items():
+
+    def on_leg(key):
         legs = key.legs if isinstance(key, Tensor) else (key,)
         image = f(legs[leg])
-        for k2, c2 in image.items():
-            mid = k2.legs if isinstance(k2, Tensor) else (k2,)
-            newlegs = legs[:leg] + mid + legs[leg + 1 :]
-            if len(newlegs) == 1:
-                out = out + LinComb.term(newlegs[0], c * c2)
-            else:
-                out = out + LinComb.term(Tensor(*newlegs), c * c2)
-    return out
+        if len(legs) == 1:
+            return image  # the image keys are already the result keys
+        head, tail = legs[:leg], legs[leg + 1 :]
+        # splicing is injective, so no two image keys merge
+        return _wrap({
+            Tensor(*head, *(k.legs if isinstance(k, Tensor) else (k,)), *tail): c
+            for k, c in image.items()
+        })
+
+    return linear_map(on_leg, x)
 
 
 def rank(vectors: Iterable[LinComb]) -> int:
@@ -240,12 +264,7 @@ def rank(vectors: Iterable[LinComb]) -> int:
             key = min(row, key=str)
             if key in pivots:
                 c = row.pop(key)
-                for k2, c2 in pivots[key].items():
-                    s = row.get(k2, _ZERO) - c * c2
-                    if s:
-                        row[k2] = s
-                    else:
-                        row.pop(k2, None)
+                _merge(row, ((k2, c * c2) for k2, c2 in pivots[key].items()), operator.sub)
             else:
                 c = row.pop(key)
                 pivots[key] = {k2: c2 / c for k2, c2 in row.items()}

@@ -26,10 +26,9 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
 
-from .linear import LinComb, Tensor, tensor
-from .trees import Tree, factorize, is_irreducible, unwrap_root
-
-_COLOR_RE = re.compile(r"[A-Za-z0-9_]+$")
+from .algebra import Vector, _as_vector
+from .linear import LinComb, Tensor, bilinear, tensor
+from .trees import COLOR_RE, Tree, check_palette, factorize, is_irreducible, unwrap_root
 
 
 class Word:
@@ -68,7 +67,7 @@ def parse_word(text: str, palette: Sequence[str] | None = None) -> Word:
     for chunk in text.split("|"):
         letters = chunk.split(".")
         for letter in letters:
-            if not _COLOR_RE.match(letter):
+            if not COLOR_RE.fullmatch(letter):
                 raise ValueError(f"bad letter {letter!r} in word {text!r}")
             if palette is not None and letter not in palette:
                 raise ValueError(f"letter {letter!r} not in palette")
@@ -203,7 +202,7 @@ def compositions(n: int) -> list[tuple[int, ...]]:
 
 def enumerate_words(n: int, colors: Sequence[str]) -> list[Word]:
     """All degree-n words over the palette: 2^{n-1} d^n of them."""
-    palette = tuple(colors)
+    palette = check_palette(colors)
     out = []
     for shape in compositions(n):
         for letters in itertools.product(palette, repeat=n):
@@ -221,13 +220,12 @@ def enumerate_words(n: int, colors: Sequence[str]) -> list[Word]:
 
 def tensor_square_dot(x: LinComb, y: LinComb, dot_fn: Callable) -> LinComb:
     """Componentwise product on rank-2 tensors: (a₁⊗a₂)·(b₁⊗b₂) = a₁b₁⊗a₂b₂."""
-    out = LinComb.zero()
-    for kx, cx in x.items():
-        a1, a2 = kx.legs
-        for ky, cy in y.items():
-            b1, b2 = ky.legs
-            out = out + tensor(dot_fn(a1, b1), dot_fn(a2, b2)) * (cx * cy)
-    return out
+
+    def on_basis(kx, ky):
+        (a1, a2), (b1, b2) = kx.legs, ky.legs
+        return tensor(dot_fn(a1, b1), dot_fn(a2, b2))
+
+    return bilinear(on_basis, x, y)
 
 
 def tensor_square_star(x: LinComb, y: LinComb, dot_fn: Callable, circ_fn: Callable) -> LinComb:
@@ -236,15 +234,12 @@ def tensor_square_star(x: LinComb, y: LinComb, dot_fn: Callable, circ_fn: Callab
     Associative exactly when the underlying pair satisfies the compatibility
     identity; the products are passed as basis-level maps returning LinCombs.
     """
-    out = LinComb.zero()
-    for kx, cx in x.items():
-        a1, a2 = kx.legs
-        for ky, cy in y.items():
-            b1, b2 = ky.legs
-            c = cx * cy
-            out = out + tensor(dot_fn(a1, b1), circ_fn(a2, b2)) * c
-            out = out + tensor(circ_fn(a1, b1), dot_fn(a2, b2)) * c
-    return out
+
+    def on_basis(kx, ky):
+        (a1, a2), (b1, b2) = kx.legs, ky.legs
+        return tensor(dot_fn(a1, b1), circ_fn(a2, b2)) + tensor(circ_fn(a1, b1), dot_fn(a2, b2))
+
+    return bilinear(on_basis, x, y)
 
 
 def word_key_dot(u: Word, w: Word) -> LinComb:
@@ -256,15 +251,6 @@ def word_key_circ(u: Word, w: Word) -> LinComb:
 
 
 # --- finite algebras carrying a right semi-homomorphism ----------------------
-
-Vector = tuple
-
-
-def _as_vec(coords, dim: int) -> Vector:
-    v = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
-    if len(v) != dim:
-        raise ValueError(f"expected dimension {dim}, got {len(v)}")
-    return v
 
 
 class SemiHomAlgebra:
@@ -282,16 +268,16 @@ class SemiHomAlgebra:
     def __init__(self, dot_table, r_matrix, unit=None, delta_table=None):
         dim = len(dot_table)
         self.dim = dim
-        self.dot_table = tuple(tuple(_as_vec(e, dim) for e in row) for row in dot_table)
+        self.dot_table = tuple(tuple(_as_vector(e, dim) for e in row) for row in dot_table)
         if any(len(row) != dim for row in self.dot_table):
             raise ValueError("dot table must be square")
-        self.r_matrix = tuple(_as_vec(col, dim) for col in r_matrix)
+        self.r_matrix = tuple(_as_vector(col, dim) for col in r_matrix)
         if len(self.r_matrix) != dim:
             raise ValueError("R must be dim x dim")
-        self.unit = _as_vec(unit, dim) if unit is not None else None
+        self.unit = _as_vector(unit, dim) if unit is not None else None
         if delta_table is not None:
             delta_table = tuple(
-                tuple(_as_vec(row, dim) for row in mat) for mat in delta_table
+                tuple(_as_vector(row, dim) for row in mat) for mat in delta_table
             )
             if len(delta_table) != dim or any(len(m) != dim for m in delta_table):
                 raise ValueError("coproduct table must be dim x dim x dim")
@@ -308,7 +294,7 @@ class SemiHomAlgebra:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
     def vector(self, coords) -> Vector:
-        return _as_vec(coords, self.dim)
+        return _as_vector(coords, self.dim)
 
     def dot(self, x: Vector, y: Vector) -> Vector:
         out = list(self.zero)
@@ -438,36 +424,17 @@ class SemiHomAlgebra:
 
     def _check_coassociative(self):
         # compare the two refinements of Δ into rank-3 tensors
-        dim = self.dim
-        for i in range(dim):
-            left = {}
-            right = {}
-            d = self.delta_table[i]
-            for j in range(dim):
-                for k in range(dim):
-                    c = d[j][k]
-                    if not c:
-                        continue
-                    dj = self.delta_table[j]
-                    for a in range(dim):
-                        for b in range(dim):
-                            if dj[a][b]:
-                                key = (a, b, k)
-                                left[key] = left.get(key, Fraction(0)) + c * dj[a][b]
-                    dk = self.delta_table[k]
-                    for a in range(dim):
-                        for b in range(dim):
-                            if dk[a][b]:
-                                key = (j, a, b)
-                                right[key] = right.get(key, Fraction(0)) + c * dk[a][b]
-            diff = dict(left)
-            for key, c in right.items():
-                s = diff.get(key, Fraction(0)) - c
-                if s:
-                    diff[key] = s
-                else:
-                    diff.pop(key, None)
-            if diff:
+        pairs = list(itertools.product(range(self.dim), repeat=2))
+        for i, d in enumerate(self.delta_table):
+            left, right = [], []
+            for j, k in pairs:
+                c = d[j][k]
+                if not c:
+                    continue
+                dj, dk = self.delta_table[j], self.delta_table[k]
+                left.extend(((a, b, k), c * dj[a][b]) for a, b in pairs if dj[a][b])
+                right.extend(((j, a, b), c * dk[a][b]) for a, b in pairs if dk[a][b])
+            if LinComb(left) != LinComb(right):
                 raise ValueError(f"coproduct not coassociative at basis vector {i}")
 
 

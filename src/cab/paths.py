@@ -23,10 +23,9 @@ import itertools
 import re
 from typing import Sequence
 
-from .linear import LinComb, Tensor
+from .linear import LinComb, Tensor, apply_on_leg, bilinear, linear_map
 from .matching import tensor_square_dot, tensor_square_star
-
-_POINT_RE = re.compile(r"[A-Za-z0-9_]+$")
+from .trees import COLOR_RE
 
 
 class Path:
@@ -61,7 +60,7 @@ def parse_path(text: str, points: Sequence[str] | None = None) -> Path:
         raise ValueError(f"bad path literal {text!r}; expected p[a,b,...]")
     symbols = [s.strip() for s in m.group(1).split(",")]
     for s in symbols:
-        if not _POINT_RE.match(s):
+        if not COLOR_RE.fullmatch(s):
             raise ValueError(f"bad point {s!r} in {text!r}")
         if points is not None and s not in points:
             raise ValueError(f"point {s!r} not in the declared set")
@@ -86,11 +85,7 @@ def _mul_paths(p: Path, q: Path) -> LinComb:
 
 
 def path_mul(x: LinComb, y: LinComb) -> LinComb:
-    out = LinComb.zero()
-    for p, a in x.items():
-        for q, b in y.items():
-            out = out + _mul_paths(p, q) * (a * b)
-    return out
+    return bilinear(_mul_paths, x, y)
 
 
 def _circ_paths(p: Path, q: Path) -> LinComb:
@@ -101,11 +96,7 @@ def _circ_paths(p: Path, q: Path) -> LinComb:
 
 def path_circ(x: LinComb, y: LinComb) -> LinComb:
     """x∘y; equals x·R(y) and keeps the matched point once."""
-    out = LinComb.zero()
-    for p, a in x.items():
-        for q, b in y.items():
-            out = out + _circ_paths(p, q) * (a * b)
-    return out
+    return bilinear(_circ_paths, x, y)
 
 
 def _r_path(p: Path) -> LinComb:
@@ -133,23 +124,16 @@ def _coproduct_path(p: Path) -> LinComb:
 
 def path_coproduct(x: LinComb) -> LinComb:
     """Sum over order-preserving two-colorings of the interior letters."""
-    out = LinComb.zero()
-    for p, c in x.items():
-        out = out + _coproduct_path(p) * c
-    return out
+    return linear_map(_coproduct_path, x)
 
 
 def path_coassociativity_residual(x: LinComb) -> LinComb:
-    from .linear import apply_on_leg
-
     d = path_coproduct(x)
     return apply_on_leg(_coproduct_path, d, 0) - apply_on_leg(_coproduct_path, d, 1)
 
 
 def path_coderivation_residual(x: LinComb) -> LinComb:
     """Δ(R(x)) − (R⊗id + id⊗R)(Δ(x)); zero for every x."""
-    from .linear import apply_on_leg
-
     d = path_coproduct(x)
     return path_coproduct(path_R(x)) - apply_on_leg(_r_path, d, 0) - apply_on_leg(_r_path, d, 1)
 

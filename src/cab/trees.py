@@ -27,7 +27,9 @@ import re
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-_COLOR_RE = re.compile(r"[A-Za-z0-9_]+")
+# the one pattern for colors, word letters and path points; use it with
+# ``fullmatch`` on a whole name, or ``match`` at an offset when tokenizing
+COLOR_RE = re.compile(r"[A-Za-z0-9_]+")
 
 Vertex = tuple  # (color: str, children: tuple[Vertex, ...])
 VertexId = tuple  # path of child indices from the root
@@ -82,6 +84,17 @@ class Tree:
         return f"Tree{self.text}"
 
 
+def check_palette(colors: Sequence[str]) -> tuple[str, ...]:
+    """The palette as a tuple, rejecting an empty one or a malformed color."""
+    palette = tuple(colors)
+    if not palette:
+        raise ValueError("palette must be nonempty")
+    for color in palette:
+        if not isinstance(color, str) or not COLOR_RE.fullmatch(color):
+            raise ValueError(f"bad color {color!r}; a color matches [A-Za-z0-9_]+")
+    return palette
+
+
 def leaf(color: str) -> Tree:
     """The degree-1 tree whose single vertex carries ``color``."""
     return Tree(((color, ()),))
@@ -127,7 +140,7 @@ def _parse_forest(text: str, pos: int, palette) -> tuple[tuple, int]:
 
 
 def _parse_vertex(text: str, pos: int, palette) -> tuple[Vertex, int]:
-    m = _COLOR_RE.match(text, pos)
+    m = COLOR_RE.match(text, pos)
     if not m:
         raise TreeSyntaxError("expected a color", pos)
     color = m.group()
@@ -296,9 +309,7 @@ def enumerate_trees(n: int, colors: Sequence[str]) -> list[Tree]:
     (shapes in recursive Catalan order, colorings palette-lexicographic)."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    palette = tuple(colors)
-    if not palette:
-        raise ValueError("palette must be nonempty")
+    palette = check_palette(colors)
     out = []
     for shape in _forest_shapes(n):
         for coloring in itertools.product(palette, repeat=n):
@@ -310,9 +321,7 @@ def enumerate_irreducible(n: int, colors: Sequence[str]) -> list[Tree]:
     """All degree-n trees whose root has exactly one child: d^n * c_{n-1}."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    palette = tuple(colors)
-    if not palette:
-        raise ValueError("palette must be nonempty")
+    palette = check_palette(colors)
     out = []
     for shape in _forest_shapes(n - 1):
         for coloring in itertools.product(palette, repeat=n):

@@ -128,6 +128,17 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "trees", "enum", "--degree", "2", "--colors", "99")[0] == 1
 
 
+def test_bad_colors_and_letters_exit_one(capsys):
+    for colors in ("p(q,r", "a b", "a,(b)"):
+        code, out, err = run(capsys, "trees", "enum", "--degree", "2", "--colors", colors)
+        assert (code, out) == (1, "")
+        assert "bad color" in err
+    code, out, _ = run(capsys, "prim-basis", "--degree", "2", "--colors", "a b")
+    assert (code, out) == (1, "")
+    code, out, _ = run(capsys, "word-mul", "--op", "dot", "a\n|c", "b")
+    assert (code, out) == (1, "")
+
+
 def test_byte_stable_output(capsys):
     first = run(capsys, "verify", "--suite", "coalgebra", "--max-degree", "3", "--seed", "11")
     second = run(capsys, "verify", "--suite", "coalgebra", "--max-degree", "3", "--seed", "11")

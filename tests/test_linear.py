@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cab.linear import LinComb, Tensor, apply_on_leg, bilinear, rank, tensor, to_records
+from cab.linear import (
+    LinComb,
+    Tensor,
+    apply_on_leg,
+    bilinear,
+    linear_map,
+    rank,
+    tensor,
+    to_records,
+)
 
 KEYS = ["s", "t", "u", "v", "w"]
 
@@ -15,6 +24,61 @@ coeffs = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 lincombs = st.lists(
     st.tuples(st.sampled_from(KEYS), coeffs), max_size=6
 ).map(LinComb)
+
+
+scalars = st.one_of(st.sampled_from([0, 1, -1, 2, -3]), coeffs)
+images = st.fixed_dictionaries({k: lincombs for k in KEYS})
+
+
+def _fold(pairs):
+    """The reference: a running sum rebuilt on every term."""
+    out = LinComb.zero()
+    for v, c in pairs:
+        out = out + v * c
+    return out
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(lincombs, scalars), max_size=6), st.lists(st.booleans()))
+def test_sum_matches_fold(pairs, negate):
+    # appending negated copies of some pairs makes parts of the sum cancel
+    pairs = pairs + [(v, -c) for (v, c), flag in zip(pairs, negate) if flag]
+    total = LinComb.sum(pairs)
+    assert total == _fold(pairs)
+    assert all(c != 0 for _, c in total.items())
+    assert LinComb.sum(pairs + [(v, -c) for v, c in pairs]).is_zero
+
+
+@settings(deadline=None)
+@given(images, lincombs, lincombs)
+def test_linear_and_bilinear_extensions_match_fold(image, x, y):
+    f = image.__getitem__
+    assert linear_map(f, x) == _fold((f(k), c) for k, c in x.items())
+    assert linear_map(f, x - x).is_zero
+
+    def g(a, b):
+        return image[a].map_keys(lambda k: k + b) - image[b]
+
+    assert bilinear(g, x, y) == _fold(
+        (g(kx, ky), cx * cy) for kx, cx in x.items() for ky, cy in y.items()
+    )
+    assert bilinear(g, x, y - y).is_zero
+
+
+def test_int_scalars_give_fraction_coefficients():
+    x = LinComb([("s", 2), ("t", -1)])
+    y = LinComb.term("t", 3)
+    f = lambda k: LinComb([(k, 2), ("u", -1)])
+    results = [
+        x, x + y, x - y, x * 3, -x,
+        LinComb.sum([(x, 1), (y, -1), (x, 4)]),
+        linear_map(f, x),
+        bilinear(lambda a, b: LinComb([(a + b, 5)]), x, y),
+        apply_on_leg(f, tensor(x, y), 1),
+    ]
+    for result in results:
+        assert result
+        assert all(type(c) is Fraction for _, c in result.items())
 
 
 def test_construction_merges_and_drops_zeros():
@@ -72,6 +136,17 @@ def test_apply_on_leg_splices():
     x = LinComb.term(Tensor("s", "t"))
     assert apply_on_leg(f, x, 0) == LinComb.term(Tensor("s1", "s2", "t"))
     assert apply_on_leg(f, x, 1) == LinComb.term(Tensor("s", "t1", "t2"))
+
+
+def test_apply_on_leg_collapses_one_leg_to_plain_keys():
+    x = LinComb([("s", 2), ("t", -1)])
+    result = apply_on_leg(lambda k: LinComb.term(k + "'", 3), x, 0)
+    assert result == LinComb([("s'", 6), ("t'", -3)])
+    assert all(isinstance(k, str) for k in result.support())
+    # a one-leg key mapped to tensor keys keeps them
+    assert apply_on_leg(lambda k: LinComb.term(Tensor(k, k)), x, 0) == LinComb(
+        [(Tensor("s", "s"), 2), (Tensor("t", "t"), -1)]
+    )
 
 
 def test_rank_small_cases():

@@ -61,6 +61,15 @@ def test_word_text_roundtrip():
         parse_word("a|c", palette=["a", "b"])
 
 
+def test_malformed_letters_rejected():
+    # "$" in a regex matches before a trailing newline; letters must match whole
+    for text in ("a\n|b", "a|b\n", "a b"):
+        with pytest.raises(ValueError):
+            parse_word(text)
+    with pytest.raises(ValueError):
+        enumerate_words(2, ["a", "b|c"])
+
+
 def test_word_products():
     assert m_dot(word("a"), word("b")) == word("a|b")
     assert m_dot(word("a.b"), word("c|d")) == word("a.b|c|d")
@@ -331,6 +340,13 @@ def test_semihom_validation_rejects_bad_unit():
     A = truncated_polynomial_algebra(3)
     with pytest.raises(ValueError, match="unit"):
         SemiHomAlgebra(A.dot_table, A.r_matrix, unit=[0, 1, 0])
+
+
+def test_semihom_validation_rejects_non_coassociative_coproduct():
+    A = truncated_polynomial_algebra(3)
+    delta = [A.delta_table[0], A.delta_table[1], [[0, 0, 0], [0, 1, 0], [0, 0, 0]]]
+    with pytest.raises(ValueError, match="coassociative at basis vector 2"):
+        SemiHomAlgebra(A.dot_table, A.r_matrix, delta_table=delta)  # Δ(X²) = X⊗X
 
 
 def test_left_multiplication_semihom():

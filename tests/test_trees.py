@@ -213,6 +213,12 @@ def test_enumeration_rejects_bad_input():
         enumerate_trees(0, ["a"])
     with pytest.raises(ValueError):
         enumerate_trees(2, [])
+    # a color the grammar cannot read back would make unparseable output
+    for bad in (["p(q", "r"], ["a b"], ["a\n"]):
+        with pytest.raises(ValueError):
+            enumerate_trees(2, bad)
+        with pytest.raises(ValueError):
+            enumerate_irreducible(2, bad)
 
 
 def test_equality_is_canonical_text():
