@@ -112,11 +112,11 @@ def lie_bracket(kind: str, x: LinComb, y: LinComb) -> LinComb:
     raise ValueError(f"unknown bracket kind {kind!r}")
 
 
-Vector = tuple  # coordinates, entries Fraction
+Vector = tuple  # coordinates, entries int or Fraction
 
 
 def _as_vector(coords: Sequence[Scalar], dim: int) -> Vector:
-    v = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coords)
+    v = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords)
     if len(v) != dim:
         raise ValueError(f"expected a vector of dimension {dim}, got {len(v)}")
     return v
@@ -126,8 +126,11 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_scale(c: Scalar, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
+def _add_scaled(out: list, c: Scalar, v: Vector) -> None:
+    """``out += c·v`` in place, skipping the zero entries of ``v``."""
+    for k, t in enumerate(v):
+        if t:
+            out[k] += c * t
 
 
 class FinAlgebra:
@@ -156,24 +159,23 @@ class FinAlgebra:
 
     @property
     def zero(self) -> Vector:
-        return (Fraction(0),) * self.dim
+        return (0,) * self.dim
 
     def basis(self, i: int) -> Vector:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+        return tuple(1 if j == i else 0 for j in range(self.dim))
 
     def vector(self, coords: Sequence[Scalar]) -> Vector:
         return _as_vector(coords, self.dim)
 
     def _apply(self, table, x: Vector, y: Vector) -> Vector:
-        out = self.zero
+        out = [0] * self.dim
         for i, a in enumerate(x):
             if not a:
                 continue
             for j, b in enumerate(y):
-                if not b:
-                    continue
-                out = vec_add(out, vec_scale(a * b, table[i][j]))
-        return out
+                if b:
+                    _add_scaled(out, a * b, table[i][j])
+        return tuple(out)
 
     def dot(self, x: Vector, y: Vector) -> Vector:
         return self._apply(self.dot_table, x, y)
@@ -205,10 +207,10 @@ def evaluate(target: FinAlgebra, assign: Mapping[str, Sequence[Scalar]], x: LinC
     linearly; a homomorphism for both products.
     """
     vectors = {color: target.vector(v) for color, v in assign.items()}
-    out = target.zero
+    out = [0] * target.dim
     for t, c in x.items():
-        out = vec_add(out, vec_scale(c, _evaluate_tree(target, vectors, t)))
-    return out
+        _add_scaled(out, c, _evaluate_tree(target, vectors, t))
+    return tuple(out)
 
 
 def _evaluate_tree(target: FinAlgebra, vectors, t: Tree) -> Vector:

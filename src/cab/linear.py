@@ -2,9 +2,13 @@
 
 Every algebra in this package is a vector space over Q with some canonical
 basis (trees, words, paths, tensor tuples).  Elements are represented as
-immutable sparse mappings from basis keys to nonzero ``fractions.Fraction``
-coefficients; no floating point is used anywhere, so "equals zero" always
-means exactly zero.
+immutable sparse mappings from basis keys to nonzero exact coefficients.  A
+coefficient is a plain ``int`` while it is an integer, which covers every
+structure map here, and becomes a ``fractions.Fraction`` only where a
+division happens (``rank``) or a scalar is not an integer.  Either way it
+compares, hashes and renders by its value (``2 == Fraction(2)``,
+``str(2) == str(Fraction(2))``); no floating point is used anywhere, so
+"equals zero" always means exactly zero.
 
 Basis keys only need to be hashable and to render a canonical text via
 ``str``; the text is used for deterministic term ordering in output and for
@@ -26,29 +30,34 @@ from typing import Callable, Hashable, Iterable, Mapping
 
 Scalar = Fraction | int
 
-_ZERO = Fraction(0)
-
 
 def _merge(
     data: dict, items: Iterable[tuple[Hashable, Scalar]], op: Callable = operator.add
 ) -> dict:
     """Set ``data[key] = op(data[key], c)`` for each pair, in place.
 
-    A missing key counts as ``Fraction(0)``, so integer coefficients come out
-    as ``Fraction``; a coefficient that cancels to zero is dropped.
+    ``op`` is ``operator.add`` or ``operator.sub``.  A key not yet present
+    takes ``c`` (or ``-c``) as it is, so an ``int`` stays an ``int`` and no
+    mixed int-Fraction operation is paid; a coefficient that cancels to zero
+    is dropped.
     """
     get = data.get
+    negate = op is operator.sub
     for key, c in items:
-        s = op(get(key, _ZERO), c)
-        if s:
-            data[key] = s
-        else:
-            data.pop(key, None)
+        old = get(key)
+        if old is not None:
+            s = op(old, c)
+            if s:
+                data[key] = s
+            else:
+                del data[key]
+        elif c:
+            data[key] = -c if negate else c
     return data
 
 
 def _wrap(data: dict) -> "LinComb":
-    """A LinComb owning ``data``, whose values must be nonzero Fractions."""
+    """A LinComb owning ``data``, whose values must be nonzero ints or Fractions."""
     out = LinComb.__new__(LinComb)
     out._terms = data
     return out
@@ -69,7 +78,9 @@ class LinComb:
 
     @classmethod
     def term(cls, key, coeff: Scalar = 1) -> "LinComb":
-        c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        """One term; a scalar that is neither ``int`` nor ``Fraction`` (a
+        float, a ``Decimal``) is stored as the exact ``Fraction`` of its value."""
+        c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
         return _wrap({key: c} if c else {})
 
     @classmethod
@@ -104,8 +115,9 @@ class LinComb:
     def support(self):
         return self._terms.keys()
 
-    def coeff(self, key) -> Fraction:
-        return self._terms.get(key, _ZERO)
+    def coeff(self, key) -> Scalar:
+        """The coefficient of ``key``: an ``int`` or a ``Fraction``, 0 if absent."""
+        return self._terms.get(key, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -145,8 +157,7 @@ class LinComb:
             return NotImplemented
         if not scalar:
             return LinComb.zero()
-        s = scalar if isinstance(scalar, Fraction) else Fraction(scalar)
-        return _wrap({k: c * s for k, c in self._terms.items()})
+        return _wrap({k: c * scalar for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -254,7 +265,9 @@ def rank(vectors: Iterable[LinComb]) -> int:
     """Rank over Q of a family of sparse vectors, by exact Gaussian elimination.
 
     Pivot rows are stored normalized and without their pivot key; incoming
-    rows are reduced until they either vanish or contribute a new pivot.
+    rows are reduced until they either vanish or contribute a new pivot.  A
+    row whose pivot is already 1 is stored as it is, so integer rows with
+    unit pivots never leave ``int`` arithmetic.
     """
     pivots: dict = {}
     r = 0
@@ -262,12 +275,14 @@ def rank(vectors: Iterable[LinComb]) -> int:
         row = dict(v.items())
         while row:
             key = min(row, key=str)
+            c = row.pop(key)
             if key in pivots:
-                c = row.pop(key)
                 _merge(row, ((k2, c * c2) for k2, c2 in pivots[key].items()), operator.sub)
             else:
-                c = row.pop(key)
-                pivots[key] = {k2: c2 / c for k2, c2 in row.items()}
+                if c != 1:
+                    c = Fraction(c)  # exact, so int / int never gives a float
+                    row = {k2: c2 / c for k2, c2 in row.items()}
+                pivots[key] = row
                 r += 1
                 break
     return r

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence
 
-from .algebra import Vector, _as_vector
+from .algebra import Vector, _add_scaled, _as_vector
 from .linear import LinComb, Tensor, bilinear, tensor
 from .trees import COLOR_RE, Tree, check_palette, factorize, is_irreducible, unwrap_root
 
@@ -35,7 +34,8 @@ class Word:
     """A word of the free matching dialgebra: nonempty blocks of letters.
 
     Text form: letters joined by '.', blocks by '|'; ``a.b|c`` has blocks
-    (a,b) and (c,).  Degree is the total letter count.
+    (a,b) and (c,).  Degree is the total letter count.  Equality compares
+    the blocks; the hash is that of the text, which equal words share.
     """
 
     __slots__ = ("blocks", "degree", "text", "_hash")
@@ -50,7 +50,7 @@ class Word:
         self._hash = hash(self.text)
 
     def __eq__(self, other):
-        return isinstance(other, Word) and self.text == other.text
+        return isinstance(other, Word) and self.blocks == other.blocks
 
     def __hash__(self):
         return self._hash
@@ -288,37 +288,29 @@ class SemiHomAlgebra:
 
     @property
     def zero(self) -> Vector:
-        return (Fraction(0),) * self.dim
+        return (0,) * self.dim
 
     def basis(self, i: int) -> Vector:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+        return tuple(1 if j == i else 0 for j in range(self.dim))
 
     def vector(self, coords) -> Vector:
         return _as_vector(coords, self.dim)
 
     def dot(self, x: Vector, y: Vector) -> Vector:
-        out = list(self.zero)
+        out = [0] * self.dim
         for i, a in enumerate(x):
             if not a:
                 continue
             for j, b in enumerate(y):
-                if not b:
-                    continue
-                entry = self.dot_table[i][j]
-                ab = a * b
-                for k, t in enumerate(entry):
-                    if t:
-                        out[k] += ab * t
+                if b:
+                    _add_scaled(out, a * b, self.dot_table[i][j])
         return tuple(out)
 
     def r(self, x: Vector) -> Vector:
-        out = list(self.zero)
+        out = [0] * self.dim
         for i, a in enumerate(x):
-            if not a:
-                continue
-            for k, t in enumerate(self.r_matrix[i]):
-                if t:
-                    out[k] += a * t
+            if a:
+                _add_scaled(out, a, self.r_matrix[i])
         return tuple(out)
 
     def circ(self, x: Vector, y: Vector) -> Vector:
@@ -329,18 +321,15 @@ class SemiHomAlgebra:
     def delta(self, x: Vector):
         if self.delta_table is None:
             raise ValueError("this algebra carries no coproduct")
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        out = [[0] * self.dim for _ in range(self.dim)]
         for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, row in enumerate(self.delta_table[i]):
-                for k, t in enumerate(row):
-                    if t:
-                        out[j][k] += a * t
+            if a:
+                for j, row in enumerate(self.delta_table[i]):
+                    _add_scaled(out[j], a, row)
         return out
 
     def _mat_binary(self, p, q, left: Callable, right: Callable):
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        out = [[0] * self.dim for _ in range(self.dim)]
         for i in range(self.dim):
             for j in range(self.dim):
                 a = p[i][j]
@@ -384,7 +373,7 @@ class SemiHomAlgebra:
         """Δ(R(x)) − (R⊗id + id⊗R)(Δ(x)); zero when R is a coderivation."""
         lhs = self.delta(self.r(x))
         dx = self.delta(x)
-        out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        out = [[0] * self.dim for _ in range(self.dim)]
         for j in range(self.dim):
             for k in range(self.dim):
                 c = dx[j][k]

@@ -57,8 +57,10 @@ def _render_vertex(vertex) -> str:
 class Tree:
     """An immutable colored planar rooted tree of degree >= 1.
 
-    Equality and hashing go through the canonical rendered text, so two trees
-    are equal exactly when their canonical encodings are byte-identical.
+    Two trees are equal exactly when their nested ``children`` tuples are.
+    The hash is that of the canonical rendered text, which equal trees share;
+    the text alone does not decide equality, because a color holding ',' or
+    '(' would render like a different tree.
     """
 
     __slots__ = ("children", "degree", "text", "_hash")
@@ -72,7 +74,7 @@ class Tree:
         self._hash = hash(self.text)
 
     def __eq__(self, other):
-        return isinstance(other, Tree) and self.text == other.text
+        return isinstance(other, Tree) and self.children == other.children
 
     def __hash__(self):
         return self._hash

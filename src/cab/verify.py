@@ -108,7 +108,7 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED, random_triples: 
 
     bad = 0
     weight_pairs = [
-        (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        (rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
         for _ in range(5)
     ]
     for alpha, beta in weight_pairs:
@@ -572,9 +572,9 @@ def _semihom_checks(rng) -> list[Check]:
 
     bad = 0
     for _ in range(30):
-        x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
-        y = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
-        z = tuple(Fraction(rng.randint(-2, 2)) for _ in range(m))
+        x = tuple(rng.randint(-2, 2) for _ in range(m))
+        y = tuple(rng.randint(-2, 2) for _ in range(m))
+        z = tuple(rng.randint(-2, 2) for _ in range(m))
         if A.circ(A.dot(x, y), z) != A.dot(x, A.circ(y, z)):
             bad += 1
         if A.dot(A.circ(x, y), z) != A.circ(x, A.dot(y, z)):
@@ -589,8 +589,8 @@ def _semihom_checks(rng) -> list[Check]:
     B = mat.left_multiplication_semihom(dot_table, [1, 1])
     bad = 0
     for _ in range(20):
-        x = tuple(Fraction(rng.randint(-2, 2)) for _ in range(2))
-        y = tuple(Fraction(rng.randint(-2, 2)) for _ in range(2))
+        x = tuple(rng.randint(-2, 2) for _ in range(2))
+        y = tuple(rng.randint(-2, 2) for _ in range(2))
         a = B.r(B.basis(0))
         if B.circ(x, y) != B.dot(x, B.dot(a, y)):
             bad += 1

@@ -20,7 +20,10 @@ from cab.linear import (
 
 KEYS = ["s", "t", "u", "v", "w"]
 
-coeffs = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+coeffs = st.one_of(
+    st.integers(min_value=-60, max_value=60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=12),
+)
 lincombs = st.lists(
     st.tuples(st.sampled_from(KEYS), coeffs), max_size=6
 ).map(LinComb)
@@ -65,20 +68,53 @@ def test_linear_and_bilinear_extensions_match_fold(image, x, y):
     assert bilinear(g, x, y - y).is_zero
 
 
-def test_int_scalars_give_fraction_coefficients():
+def _coefficient_types(results):
+    return {type(c) for result in results for _, c in result.items()}
+
+
+def test_integer_inputs_keep_int_coefficients():
     x = LinComb([("s", 2), ("t", -1)])
     y = LinComb.term("t", 3)
     f = lambda k: LinComb([(k, 2), ("u", -1)])
     results = [
-        x, x + y, x - y, x * 3, -x,
+        x, x + y, x - y, y - x, x * 3, 3 * x, -x,
         LinComb.sum([(x, 1), (y, -1), (x, 4)]),
         linear_map(f, x),
         bilinear(lambda a, b: LinComb([(a + b, 5)]), x, y),
         apply_on_leg(f, tensor(x, y), 1),
+        tensor(x, y),
     ]
-    for result in results:
-        assert result
-        assert all(type(c) is Fraction for _, c in result.items())
+    assert all(results)
+    assert _coefficient_types(results) == {int}
+
+
+def test_fraction_inputs_give_fraction_coefficients_never_float():
+    # every coefficient below is a non-integer value; an integer value may
+    # come back as either type (2 == Fraction(2)), but never as a float
+    half = Fraction(1, 2)
+    x = LinComb([("s", 3), ("t", -1)])
+    h = LinComb.term("t", half)
+    f = lambda k: LinComb.term(k, half)
+    results = [
+        x * half, half * x, h, h + h + h, x + h - x,
+        LinComb.sum([(x, half), (h, 3)]),
+        linear_map(f, x),
+        bilinear(lambda a, b: LinComb.term(a + b), x, h),
+        apply_on_leg(f, tensor(x, h), 0),
+        tensor(h, x),
+    ]
+    assert all(results)
+    assert _coefficient_types(results) == {Fraction}
+    assert (h + h).coeff("t") == 1
+    assert _coefficient_types([h + h, LinComb.sum([(x, 2), (h, 2)])]) <= {int, Fraction}
+
+
+def test_non_integer_scalars_are_made_exact_or_refused():
+    t = LinComb.term("t", 0.5)
+    assert t.coeff("t") == Fraction(1, 2)
+    assert type(t.coeff("t")) is Fraction
+    with pytest.raises(TypeError):
+        LinComb.term("t") * 0.5
 
 
 def test_construction_merges_and_drops_zeros():
@@ -112,6 +148,7 @@ def test_vector_space_axioms(x, y, z, a, b):
 def test_no_stored_zero_coefficients(x, y, a):
     for result in (x + y, x - y, x * a, tensor(x, y)):
         assert all(c != 0 for _, c in result.items())
+        assert all(type(c) in (int, Fraction) for _, c in result.items())
 
 
 def test_bilinear_distributes():
@@ -183,6 +220,21 @@ def test_rank_matches_dense_eliminator(trial):
     dense = [[Fraction(rng.randint(-3, 3)) for _ in range(6)] for _ in range(6)]
     sparse = [LinComb(zip(keys, row)) for row in dense]
     assert rank(sparse) == _dense_rank(dense)
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_rank_of_integer_rows_matches_dense_eliminator(trial):
+    rng = random.Random(200 + trial)
+    keys = [f"k{i}" for i in range(6)]
+    rows = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(rng.randint(1, 7))]
+    sparse = [LinComb(zip(keys, row)) for row in rows]
+    assert rank(sparse) == _dense_rank([[Fraction(c) for c in row] for row in rows])
+
+
+def test_rank_divides_exactly():
+    # a float pivot would leave 2 - 98 * (1/49) = 2.2e-16 behind and count 2
+    assert rank([LinComb([("t", 49), ("u", 1)]), LinComb([("t", 98), ("u", 2)])]) == 1
+    assert rank([LinComb([("t", 3), ("u", 1)]), LinComb([("t", 1), ("u", 3)])]) == 2
 
 
 def test_records_sorted_by_key():

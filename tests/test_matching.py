@@ -70,6 +70,17 @@ def test_malformed_letters_rejected():
         enumerate_words(2, ["a", "b|c"])
 
 
+def test_separator_in_a_letter_does_not_alias_another_word():
+    # each pair renders to the same text, "a.b" and "a.b.c"
+    for odd, other in (
+        (Word([("a.b",)]), parse_word("a.b")),
+        (Word([("a.b", "c")]), Word([("a", "b.c")])),
+    ):
+        assert odd.text == other.text and odd.degree <= other.degree
+        assert odd != other
+        assert len({odd: 1, other: 2}) == 2
+
+
 def test_word_products():
     assert m_dot(word("a"), word("b")) == word("a|b")
     assert m_dot(word("a.b"), word("c|d")) == word("a.b|c|d")

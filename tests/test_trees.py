@@ -226,3 +226,11 @@ def test_equality_is_canonical_text():
     assert t == parse_tree(" (a , b) ")
     assert t != parse_tree("(b,a)")
     assert hash(t) == hash(parse_tree("(a,b)"))
+
+
+def test_separator_in_a_color_does_not_alias_another_tree():
+    # both render as "(a,b)"; the degrees are 1 and 2
+    odd, t = Tree((("a,b", ()),)), parse_tree("(a,b)")
+    assert odd.text == t.text and hash(odd) == hash(t)
+    assert odd != t
+    assert len({odd: 1, t: 2}) == 2
