@@ -33,8 +33,8 @@ from .trees import (
     catalan,
     contract,
     enumerate_irreducible,
-    factorize,
     is_irreducible,
+    leaf,
     root_concat,
     unwrap_root,
 )
@@ -54,8 +54,9 @@ def coproduct_tree(t: Tree) -> LinComb:
     elif is_irreducible(t):
         # t = u∘a:  Δ(t) = u₁ ⊗ (u₂∘a) + u ⊗ a
         u, a = unwrap_root(t)
-        a_elem = LinComb.term(_leaf_tree(a))
-        out = [(Tensor(u, _leaf_tree(a)), 1)]
+        a_tree = leaf(a)
+        a_elem = LinComb.term(a_tree)
+        out = [(Tensor(u, a_tree), 1)]
         for key, c in coproduct_tree(u).items():
             u1, u2 = key.legs
             for w, c2 in circle(LinComb.term(u2), a_elem).items():
@@ -64,9 +65,7 @@ def coproduct_tree(t: Tree) -> LinComb:
     else:
         # t = t'·t'' (first factor against the rest):
         # Δ(t) = t'₁ ⊗ (t'₂·t'') + (t'·t''₁) ⊗ t''₂ + t' ⊗ t''
-        factors = factorize(t)
-        t1 = factors[0]
-        t2 = reduce(root_concat, factors[1:])
+        t1, t2 = Tree(t.children[:1]), Tree(t.children[1:])
         out = [(Tensor(t1, t2), 1)]
         for key, c in coproduct_tree(t1).items():
             a, b = key.legs
@@ -78,10 +77,6 @@ def coproduct_tree(t: Tree) -> LinComb:
 
     _COPRODUCT_CACHE[t] = result
     return result
-
-
-def _leaf_tree(color: str) -> Tree:
-    return Tree(((color, ()),))
 
 
 def coproduct(x: LinComb) -> LinComb:
@@ -162,6 +157,11 @@ def _projector_tree(t: Tree) -> LinComb:
     return result
 
 
+def _fold_dot(key: Tensor) -> Tree:
+    """The dot product of a tensor key's legs, joined into one tree."""
+    return Tree(tuple(v for leg in key.legs for v in leg.children))
+
+
 def primitive_projector_series(x: LinComb) -> LinComb:
     """Alternating-sign form of the projector, as a cross-check.
 
@@ -172,7 +172,7 @@ def primitive_projector_series(x: LinComb) -> LinComb:
     current = coproduct(x)
     sign = -1
     while current:
-        pairs.append((current.map_keys(lambda key: reduce(root_concat, key.legs)), sign))
+        pairs.append((current.map_keys(_fold_dot), sign))
         current = apply_on_leg(coproduct_tree, current, 0)
         sign = -sign
     return LinComb.sum(pairs)

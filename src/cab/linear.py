@@ -12,7 +12,10 @@ compares, hashes and renders by its value (``2 == Fraction(2)``,
 
 Basis keys only need to be hashable and to render a canonical text via
 ``str``; the text is used for deterministic term ordering in output and for
-pivot selection during rank computation.
+pivot selection during rank computation.  The keys of this package (``Tree``,
+``Word``, ``Path``, ``Tensor``) hash and compare their nested tuples, so a
+dict lookup never renders text; trees, words and paths render theirs only
+when it is first read, and keep it.
 
 All accumulation goes through one in-place merge (``_merge``), which adds or
 subtracts coefficients key by key and drops any that cancel.  A new structure
@@ -25,8 +28,8 @@ sum, which copies the whole sum on every step.
 from __future__ import annotations
 
 import operator
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping
 
 Scalar = Fraction | int
 

@@ -22,41 +22,42 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import reduce
 from typing import Callable, Sequence
 
 from .algebra import Vector, _add_scaled, _as_vector
 from .linear import LinComb, Tensor, bilinear, tensor
-from .trees import COLOR_RE, Tree, check_palette, factorize, is_irreducible, unwrap_root
+from .trees import COLOR_RE, Tree, _Key, check_palette
 
 
-class Word:
+class Word(_Key):
     """A word of the free matching dialgebra: nonempty blocks of letters.
 
     Text form: letters joined by '.', blocks by '|'; ``a.b|c`` has blocks
     (a,b) and (c,).  Degree is the total letter count.  Equality compares
-    the blocks; the hash is that of the text, which equal words share.
+    the blocks and the hash is that of the blocks tuple; the text is
+    rendered on demand.
     """
 
-    __slots__ = ("blocks", "degree", "text", "_hash")
+    __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        blocks = tuple(tuple(b) for b in blocks)
-        if not blocks or any(not b for b in blocks):
+        blocks = tuple(map(tuple, blocks))
+        if not blocks or not all(blocks):
             raise ValueError("a word needs nonempty blocks")
         self.blocks = blocks
-        self.degree = sum(len(b) for b in blocks)
-        self.text = "|".join(".".join(b) for b in blocks)
-        self._hash = hash(self.text)
+        self._hash = hash(blocks)
+
+    @property
+    def degree(self) -> int:
+        return sum(map(len, self.blocks))
+
+    def _render(self) -> str:
+        return "|".join(".".join(b) for b in self.blocks)
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.blocks == other.blocks
 
-    def __hash__(self):
-        return self._hash
-
-    def __str__(self):
-        return self.text
+    __hash__ = _Key.__hash__
 
     def __repr__(self):
         return f"Word<{self.text}>"
@@ -109,14 +110,27 @@ def normalize(t: Tree) -> Word:
     A dot product maps to the concatenation of its factors' normal forms; an
     irreducible tree u∘a appends the letter a to the last block of u's form.
     The map intertwines both products and the coproducts.
+
+    Unrolled, this reads the letters in postorder: a leaf opens the block
+    ``(color,)``, and a vertex with children appends its color to the last
+    block of its children's form.  The walk below meets the vertices in the
+    reverse of that order (a stack, rightmost subtree first), so each run of
+    colors up to and including a leaf is one block, read backwards.
     """
-    if t.degree == 1:
-        return Word(((t.children[0][0],),))
-    if is_irreducible(t):
-        u, a = unwrap_root(t)
-        w = normalize(u)
-        return Word(w.blocks[:-1] + (w.blocks[-1] + (a,),))
-    return reduce(m_dot, (normalize(f) for f in factorize(t)))
+    blocks = []
+    block = []
+    stack = list(t.children)
+    while stack:
+        color, kids = stack.pop()
+        block.append(color)
+        if kids:
+            stack.extend(kids)
+        else:
+            block.reverse()
+            blocks.append(block)
+            block = []
+    blocks.reverse()
+    return Word(blocks)
 
 
 def normalize_lin(x: LinComb) -> LinComb:

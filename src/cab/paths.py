@@ -25,30 +25,32 @@ from typing import Sequence
 
 from .linear import LinComb, Tensor, apply_on_leg, bilinear, linear_map
 from .matching import tensor_square_dot, tensor_square_star
-from .trees import COLOR_RE
+from .trees import COLOR_RE, _Key
 
 
-class Path:
-    """A basis path: a tuple of at least two points, text form ``p[a,x,b]``."""
+class Path(_Key):
+    """A basis path: a tuple of at least two points, text form ``p[a,x,b]``.
 
-    __slots__ = ("points", "text", "_hash")
+    Equality compares the points and the hash is that of the points tuple;
+    the text is rendered on demand.
+    """
+
+    __slots__ = ("points",)
 
     def __init__(self, points):
         points = tuple(points)
         if len(points) < 2:
             raise ValueError("a path needs at least two points")
         self.points = points
-        self.text = "p[" + ",".join(points) + "]"
-        self._hash = hash(self.text)
+        self._hash = hash(points)
+
+    def _render(self) -> str:
+        return "p[" + ",".join(self.points) + "]"
 
     def __eq__(self, other):
         return isinstance(other, Path) and self.points == other.points
 
-    def __hash__(self):
-        return self._hash
-
-    def __str__(self):
-        return self.text
+    __hash__ = _Key.__hash__
 
     def __repr__(self):
         return f"Path{self.points!r}"

@@ -44,7 +44,11 @@ class TreeSyntaxError(ValueError):
 
 
 def _forest_degree(vertices) -> int:
-    return sum(1 + _forest_degree(kids) for _, kids in vertices)
+    n = len(vertices)
+    for _, kids in vertices:
+        if kids:
+            n += _forest_degree(kids)
+    return n
 
 
 def _render_vertex(vertex) -> str:
@@ -54,33 +58,69 @@ def _render_vertex(vertex) -> str:
     return color + "(" + ",".join(_render_vertex(v) for v in kids) + ")"
 
 
-class Tree:
-    """An immutable colored planar rooted tree of degree >= 1.
+class _Key:
+    """Base of the basis keys ``Tree``, ``Word`` and ``Path``.
 
-    Two trees are equal exactly when their nested ``children`` tuples are.
-    The hash is that of the canonical rendered text, which equal trees share;
-    the text alone does not decide equality, because a color holding ',' or
-    '(' would render like a different tree.
+    A key hashes its nested tuple once, when built, and renders its canonical
+    ``text`` the first time it is read.  The ``text`` slot stays unset until
+    then; ``__getattr__`` (consulted only for an unset attribute) fills it
+    through the subclass's ``_render``, so later reads are plain slot reads
+    and return the same object.
+
+    Each subclass sets ``_hash`` in ``__init__``, defines ``_render`` and its
+    own ``__eq__`` on its tuple slot, and binds ``__hash__ = _Key.__hash__``
+    again, since defining ``__eq__`` resets it to None.
     """
 
-    __slots__ = ("children", "degree", "text", "_hash")
+    __slots__ = ("text", "_hash")
 
-    def __init__(self, children: tuple):
-        if not children:
-            raise ValueError("a tree needs at least one non-root vertex")
-        self.children = children
-        self.degree = _forest_degree(children)
-        self.text = "(" + ",".join(_render_vertex(v) for v in children) + ")"
-        self._hash = hash(self.text)
-
-    def __eq__(self, other):
-        return isinstance(other, Tree) and self.children == other.children
+    def __getattr__(self, name):
+        if name != "text":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        text = self.text = self._render()
+        return text
 
     def __hash__(self):
         return self._hash
 
     def __str__(self):
         return self.text
+
+
+class Tree(_Key):
+    """An immutable colored planar rooted tree of degree >= 1.
+
+    Two trees are equal exactly when their nested ``children`` tuples are,
+    and the hash is that of the tuple.  The canonical text is rendered on
+    demand; it alone does not decide equality, because a color holding ','
+    or '(' would render like a different tree.  ``degree`` is counted the
+    first time it is read, unless ``root_concat`` or ``wrap_root`` already
+    passed it on.
+    """
+
+    __slots__ = ("children", "_degree")
+
+    def __init__(self, children: tuple):
+        if not children:
+            raise ValueError("a tree needs at least one non-root vertex")
+        self.children = children
+        self._hash = hash(children)
+        self._degree = None
+
+    @property
+    def degree(self) -> int:
+        degree = self._degree
+        if degree is None:
+            degree = self._degree = _forest_degree(self.children)
+        return degree
+
+    def _render(self) -> str:
+        return "(" + ",".join(_render_vertex(v) for v in self.children) + ")"
+
+    def __eq__(self, other):
+        return isinstance(other, Tree) and self.children == other.children
+
+    __hash__ = _Key.__hash__
 
     def __repr__(self):
         return f"Tree{self.text}"
@@ -165,7 +205,10 @@ def render_tree(t: Tree) -> str:
 
 def root_concat(t: Tree, w: Tree) -> Tree:
     """Identify the roots of t and w (children of t before children of w)."""
-    return Tree(t.children + w.children)
+    out = Tree(t.children + w.children)
+    if t._degree and w._degree:
+        out._degree = t._degree + w._degree
+    return out
 
 
 def factorize(t: Tree) -> tuple[Tree, ...]:
@@ -183,7 +226,10 @@ def is_irreducible(t: Tree) -> bool:
 
 def wrap_root(t: Tree, color: str) -> Tree:
     """Hang the whole forest of t below a new vertex carrying ``color``."""
-    return Tree(((color, t.children),))
+    out = Tree(((color, t.children),))
+    if t._degree:
+        out._degree = t._degree + 1
+    return out
 
 
 def unwrap_root(t: Tree) -> tuple[Tree, str]:

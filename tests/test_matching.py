@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from cab.matching import (
     word_shape,
     word_star,
 )
-from cab.trees import enumerate_trees, parse_tree
+from cab.trees import enumerate_trees, factorize, is_irreducible, parse_tree, unwrap_root
 
 
 def word(text):
@@ -119,6 +120,25 @@ def test_normalize_examples():
     assert normalize(parse_tree("(c(a,b))")) == word("a|b.c")
     assert normalize(parse_tree("(d(c(a,b)))")) == word("a|b.c.d")
     assert normalize(parse_tree("(a)")) == word("a")
+
+
+def _normalize_by_recursion(t):
+    """The quotient map by its defining recursion on the two products."""
+    if t.degree == 1:
+        return Word(((t.children[0][0],),))
+    if is_irreducible(t):
+        u, a = unwrap_root(t)
+        w = _normalize_by_recursion(u)
+        return Word(w.blocks[:-1] + (w.blocks[-1] + (a,),))
+    return reduce(m_dot, (_normalize_by_recursion(f) for f in factorize(t)))
+
+
+def test_normalize_matches_its_recursive_definition():
+    for n in range(1, 7):
+        for t in enumerate_trees(n, ["a", "b"]):
+            expected = _normalize_by_recursion(t)
+            got = normalize(t)
+            assert got == expected and got.text == expected.text
 
 
 def test_normalize_is_a_dialgebra_map():
