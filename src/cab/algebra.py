@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Mapping, Sequence
 
-from .linear import LinComb, Scalar, bilinear
+from .linear import LinComb, Scalar, associativity_fails, bilinear, compatibility_fails
 from .trees import (
     Tree,
     factorize,
@@ -71,7 +71,7 @@ def circle_trees(t: Tree, w: Tree) -> LinComb:
     if cached is not None:
         return cached
 
-    if w.degree == 1:
+    if len(w.children) == 1 and not w.children[0][1]:  # a generator
         result = LinComb.term(wrap_root(t, w.children[0][0]))
     elif is_irreducible(w):
         u, a = unwrap_root(w)
@@ -122,6 +122,14 @@ def _as_vector(coords: Sequence[Scalar], dim: int) -> Vector:
     return v
 
 
+def _as_table(table, dim: int) -> tuple:
+    """A dim x dim structure table of coordinate vectors."""
+    out = tuple(tuple(_as_vector(entry, dim) for entry in row) for row in table)
+    if any(len(row) != dim for row in out):
+        raise ValueError("tables must be square")
+    return out
+
+
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -147,14 +155,8 @@ class FinAlgebra:
         if dim == 0 or len(circ_table) != dim:
             raise ValueError("tables must be nonempty and of equal dimension")
         self.dim = dim
-        self.dot_table = tuple(
-            tuple(_as_vector(entry, dim) for entry in row) for row in dot_table
-        )
-        self.circ_table = tuple(
-            tuple(_as_vector(entry, dim) for entry in row) for row in circ_table
-        )
-        if any(len(row) != dim for row in self.dot_table + self.circ_table):
-            raise ValueError("tables must be square")
+        self.dot_table = _as_table(dot_table, dim)
+        self.circ_table = _as_table(circ_table, dim)
         self._check_tables()
 
     @property
@@ -188,13 +190,11 @@ class FinAlgebra:
         for i, x in enumerate(es):
             for j, y in enumerate(es):
                 for k, z in enumerate(es):
-                    if self.dot(self.dot(x, y), z) != self.dot(x, self.dot(y, z)):
+                    if associativity_fails(self.dot, x, y, z):
                         raise ValueError(f"dot table not associative at ({i},{j},{k})")
-                    if self.circ(self.circ(x, y), z) != self.circ(x, self.circ(y, z)):
+                    if associativity_fails(self.circ, x, y, z):
                         raise ValueError(f"circle table not associative at ({i},{j},{k})")
-                    lhs = vec_add(self.circ(x, self.dot(y, z)), self.dot(x, self.circ(y, z)))
-                    rhs = vec_add(self.dot(self.circ(x, y), z), self.circ(self.dot(x, y), z))
-                    if lhs != rhs:
+                    if compatibility_fails(self.dot, self.circ, x, y, z, vec_add):
                         raise ValueError(f"tables not compatible at ({i},{j},{k})")
 
 
@@ -214,7 +214,7 @@ def evaluate(target: FinAlgebra, assign: Mapping[str, Sequence[Scalar]], x: LinC
 
 
 def _evaluate_tree(target: FinAlgebra, vectors, t: Tree) -> Vector:
-    if t.degree == 1:
+    if len(t.children) == 1 and not t.children[0][1]:  # a generator
         color = t.children[0][0]
         if color not in vectors:
             raise KeyError(f"no assignment for color {color!r}")

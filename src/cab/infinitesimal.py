@@ -24,9 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 from typing import Sequence
 
-from .linear import LinComb, Tensor, apply_on_leg, linear_map, tensor
+from .linear import (
+    LinComb,
+    Tensor,
+    apply_on_leg,
+    coassociativity_law,
+    infinitesimal_law,
+    linear_map,
+)
 from .trees import (
     Tree,
     canonical_vertex_order,
@@ -39,6 +47,7 @@ from .trees import (
     unwrap_root,
 )
 from .algebra import circle, dot, star
+from .matching import compositions
 
 _COPRODUCT_CACHE: dict = {}
 
@@ -49,7 +58,7 @@ def coproduct_tree(t: Tree) -> LinComb:
     if cached is not None:
         return cached
 
-    if t.degree == 1:
+    if len(t.children) == 1 and not t.children[0][1]:  # a generator
         result = LinComb.zero()
     elif is_irreducible(t):
         # t = u∘a:  Δ(t) = u₁ ⊗ (u₂∘a) + u ⊗ a
@@ -102,8 +111,7 @@ def coproduct_closed(t: Tree) -> LinComb:
 
 def coassociativity_residual(x: LinComb) -> LinComb:
     """(Δ⊗id)Δ(x) − (id⊗Δ)Δ(x); zero by coassociativity."""
-    d = coproduct(x)
-    return apply_on_leg(coproduct_tree, d, 0) - apply_on_leg(coproduct_tree, d, 1)
+    return coassociativity_law(coproduct_tree, x)
 
 
 def _product_and_weight(product):
@@ -125,13 +133,7 @@ def infinitesimal_residual(product, x: LinComb, y: LinComb) -> LinComb:
     ("star", alpha, beta); in particular ("star", -1, 1) has no x⊗y term.
     """
     mul, weight = _product_and_weight(product)
-    left = linear_map(
-        lambda k: tensor(LinComb.term(k.legs[0]), mul(LinComb.term(k.legs[1]), y)), coproduct(x)
-    )
-    right = linear_map(
-        lambda k: tensor(mul(x, LinComb.term(k.legs[0])), LinComb.term(k.legs[1])), coproduct(y)
-    )
-    return LinComb.sum([(coproduct(mul(x, y)), 1), (left, -1), (right, -1), (tensor(x, y), -weight)])
+    return infinitesimal_law(coproduct_tree, mul, weight, x, y)
 
 
 _PROJECTOR_CACHE: dict = {}
@@ -350,23 +352,13 @@ def _free_prim_dims(max_n: int) -> list[int]:
     dims = [0] * (max_n + 1)
     dims[1] = 1
     for n in range(2, max_n + 1):
-        total = 0
-        for comp in _compositions(n - 1):
-            prod = 1
-            for m in comp:
-                prod *= dims[m]
-            total += prod
-        dims[n] = total
+        dims[n] = _composition_sum(n - 1, dims)
     return dims
 
 
-def _compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
+def _composition_sum(n: int, weights: Sequence[int]) -> int:
+    """Σ over the compositions (m₁..m_k) of n of Π weights[m_i]."""
+    return sum(prod(map(weights.__getitem__, comp)) for comp in compositions(n))
 
 
 def dimension_report(max_n: int, d: int) -> list[DimRow]:
@@ -378,16 +370,12 @@ def dimension_report(max_n: int, d: int) -> list[DimRow]:
     if max_n < 1 or d < 1:
         raise ValueError("need max_n >= 1 and d >= 1")
     prim = _free_prim_dims(max_n)
+    prim_colored = [0] + [d**m * catalan(m - 1) for m in range(1, max_n + 1)]
     rows = []
     for n in range(1, max_n + 1):
         tree_dim = d**n * catalan(n)
         prim_dim = d**n * prim[n]
         prim_expected = d**n * catalan(n - 1)
-        cofree = 0
-        for comp in _compositions(n):
-            prod = 1
-            for m in comp:
-                prod *= d**m * catalan(m - 1)
-            cofree += prod
+        cofree = _composition_sum(n, prim_colored)
         rows.append(DimRow(n, tree_dim, prim_dim, prim_expected, cofree))
     return rows

@@ -23,6 +23,12 @@ map is written as a basis-level function returning a LinComb and extended
 with ``linear_map`` or ``bilinear`` (or, for a signed sum of pieces,
 ``LinComb.sum``), never as a loop that adds each scaled image to a running
 sum, which copies the whole sum on every step.
+
+The laws section writes each law of the paper once, over basis-level maps:
+coassociativity, coderivation, multiplicativity on the tensor square and the
+infinitesimal law return their residuals; associativity, the matching laws,
+compatibility and the homomorphism law are predicates that are true when the
+law fails.
 """
 
 from __future__ import annotations
@@ -262,6 +268,78 @@ def apply_on_leg(f: Callable, x: LinComb, leg: int) -> LinComb:
         })
 
     return linear_map(on_leg, x)
+
+
+# --- the laws ------------------------------------------------------------------
+#
+# Each law of the paper is written once here; every algebra, public residual
+# and verify suite calls it.  ``delta`` is a basis-level coproduct (key →
+# LinComb of rank-2 Tensor keys), ``r`` a basis-level linear map, and products
+# act on whole elements.  The coalgebra laws return their residual; the
+# product laws are predicates, true when the law fails, so that they apply
+# alike to LinCombs, bare keys and dense coordinate tuples.
+
+
+def coassociativity_law(delta: Callable, x: LinComb) -> LinComb:
+    """(Δ⊗id)Δx − (id⊗Δ)Δx."""
+    d = linear_map(delta, x)
+    return apply_on_leg(delta, d, 0) - apply_on_leg(delta, d, 1)
+
+
+def coderivation_law(delta: Callable, r: Callable, x: LinComb) -> LinComb:
+    """Δ(Rx) − (R⊗id + id⊗R)Δx."""
+    d = linear_map(delta, x)
+    return LinComb.sum([
+        (linear_map(delta, linear_map(r, x)), 1),
+        (apply_on_leg(r, d, 0), -1),
+        (apply_on_leg(r, d, 1), -1),
+    ])
+
+
+def multiplicativity_law(
+    delta: Callable, mul: Callable, square: Callable, x: LinComb, y: LinComb
+) -> LinComb:
+    """Δ(x∙y) − Δx ⋆ Δy, with ⋆ = ``square`` a product on the tensor square."""
+    return linear_map(delta, mul(x, y)) - square(linear_map(delta, x), linear_map(delta, y))
+
+
+def infinitesimal_law(
+    delta: Callable, mul: Callable, weight: Scalar, x: LinComb, y: LinComb
+) -> LinComb:
+    """Δ(x∙y) − x₁⊗(x₂∙y) − (x∙y₁)⊗y₂ − w·x⊗y (Joni–Rota, Aguiar)."""
+    left = linear_map(
+        lambda k: tensor(LinComb.term(k.legs[0]), mul(LinComb.term(k.legs[1]), y)),
+        linear_map(delta, x),
+    )
+    right = linear_map(
+        lambda k: tensor(mul(x, LinComb.term(k.legs[0])), LinComb.term(k.legs[1])),
+        linear_map(delta, y),
+    )
+    return LinComb.sum([
+        (linear_map(delta, mul(x, y)), 1), (left, -1), (right, -1), (tensor(x, y), -weight)
+    ])
+
+
+def associativity_fails(mul: Callable, x, y, z) -> bool:
+    """(x∙y)∙z ≠ x∙(y∙z)."""
+    return mul(mul(x, y), z) != mul(x, mul(y, z))
+
+
+def matching_fails(dot: Callable, circ: Callable, x, y, z) -> bool:
+    """(x·y)∘z ≠ x·(y∘z) or (x∘y)·z ≠ x∘(y·z)."""
+    return circ(dot(x, y), z) != dot(x, circ(y, z)) or dot(circ(x, y), z) != circ(x, dot(y, z))
+
+
+def compatibility_fails(dot: Callable, circ: Callable, x, y, z, add: Callable = operator.add) -> bool:
+    """x∘(y·z) + x·(y∘z) ≠ (x∘y)·z + (x·y)∘z; ``add`` adds two elements
+    (on coordinate tuples, where ``+`` would concatenate)."""
+    lhs = add(circ(x, dot(y, z)), dot(x, circ(y, z)))
+    return lhs != add(dot(circ(x, y), z), circ(dot(x, y), z))
+
+
+def homomorphism_fails(f: Callable, mul: Callable, target_mul: Callable, x, y) -> bool:
+    """f(x∙y) ≠ f(x)∙'f(y)."""
+    return f(mul(x, y)) != target_mul(f(x), f(y))
 
 
 def rank(vectors: Iterable[LinComb]) -> int:

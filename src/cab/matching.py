@@ -13,19 +13,31 @@ quotient map from trees, obtained by repeatedly rewriting
 (t₁·...·tᵣ)∘a into t₁·...·(tᵣ∘a).
 
 Any right semi-homomorphism R (a linear map with R(x·y) = R(x)·y) of an
-associative algebra induces a matching partner x∘y = x·R(y); the truncated
-polynomial algebra with R = multiplication by X and the binomial coproduct is
-the worked example carried by ``SemiHomAlgebra``.
+associative algebra induces a matching partner x∘y = x·R(y).
+``SemiHomAlgebra`` is the ``FinAlgebra`` whose circle table is that partner;
+the truncated polynomial algebra with R = multiplication by X and the
+binomial coproduct is its worked example, and its coalgebra residuals are the
+shared laws of ``linear`` on index keys.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from typing import Callable, Sequence
 
-from .algebra import Vector, _add_scaled, _as_vector
-from .linear import LinComb, Tensor, bilinear, tensor
+from .algebra import FinAlgebra, Vector, _add_scaled, _as_table, _as_vector
+from .linear import (
+    LinComb,
+    Tensor,
+    bilinear,
+    coassociativity_law,
+    coderivation_law,
+    linear_map,
+    multiplicativity_law,
+    tensor,
+)
 from .trees import COLOR_RE, Tree, _Key, check_palette
 
 
@@ -138,6 +150,24 @@ def normalize_lin(x: LinComb) -> LinComb:
     return x.map_keys(normalize)
 
 
+def _coproduct_word(w: Word) -> LinComb:
+    blocks = w.blocks
+    last = len(blocks) - 1
+    out = []
+    for bi, block in enumerate(blocks):
+        for si in range(1, len(block) + 1):
+            if si == len(block):
+                if bi == last:
+                    continue
+                left = Word(blocks[: bi + 1])
+                right = Word(blocks[bi + 1 :])
+            else:
+                left = Word(blocks[:bi] + (block[:si],))
+                right = Word((block[si:],) + blocks[bi + 1 :])
+            out.append((Tensor(left, right), 1))
+    return LinComb(out)
+
+
 def word_coproduct(x: LinComb) -> LinComb:
     """Deconcatenation along the letter sequence.
 
@@ -146,22 +176,7 @@ def word_coproduct(x: LinComb) -> LinComb:
     block list.  Coassociative; infinitesimal for both products; matches the
     tree coproduct through ``normalize``.
     """
-    out = []
-    for w, c in x.items():
-        blocks = w.blocks
-        last = len(blocks) - 1
-        for bi, block in enumerate(blocks):
-            for si in range(1, len(block) + 1):
-                if si == len(block):
-                    if bi == last:
-                        continue
-                    left = Word(blocks[: bi + 1])
-                    right = Word(blocks[bi + 1 :])
-                else:
-                    left = Word(blocks[:bi] + (block[:si],))
-                    right = Word((block[si:],) + blocks[bi + 1 :])
-                out.append((Tensor(left, right), c))
-    return LinComb(out)
+    return linear_map(_coproduct_word, x)
 
 
 # --- one-color specialization: compositions of an integer -------------------
@@ -267,58 +282,56 @@ def word_key_circ(u: Word, w: Word) -> LinComb:
 # --- finite algebras carrying a right semi-homomorphism ----------------------
 
 
-class SemiHomAlgebra:
+def _sparse(v: Vector) -> LinComb:
+    """A coordinate vector as a LinComb over its basis indices."""
+    return LinComb(enumerate(v))
+
+
+class SemiHomAlgebra(FinAlgebra):
     """A finite-dimensional associative algebra with a right semi-homomorphism.
 
     ``dot_table[i][j]`` holds coordinates of e_i·e_j; ``r_matrix`` holds R by
     columns (``r_matrix[i]`` = coordinates of R(e_i)).  Construction verifies
-    associativity and R(x·y) = R(x)·y on all basis pairs.  The induced second
-    product x∘y = x·R(y) makes the pair (·,∘) a matching dialgebra.
+    R(x·y) = R(x)·y on all basis pairs, then hands the dot table and the
+    induced second product x∘y = x·R(y) to ``FinAlgebra``, which checks
+    associativity of both and their compatibility (the matching laws imply
+    it).  The pair (·,∘) is a matching dialgebra.
 
     An optional coproduct table (``delta_table[i]`` = matrix of Δ(e_i) over
-    e_j⊗e_k) enables the coderivation and bialgebra diagnostics.
+    e_j⊗e_k) enables the coderivation and bialgebra diagnostics.  Their
+    residuals, like ``delta``, are LinCombs over ``Tensor(j, k)`` index keys.
     """
 
     def __init__(self, dot_table, r_matrix, unit=None, delta_table=None):
-        dim = len(dot_table)
-        self.dim = dim
-        self.dot_table = tuple(tuple(_as_vector(e, dim) for e in row) for row in dot_table)
-        if any(len(row) != dim for row in self.dot_table):
-            raise ValueError("dot table must be square")
+        self.dim = dim = len(dot_table)
+        self.dot_table = _as_table(dot_table, dim)
         self.r_matrix = tuple(_as_vector(col, dim) for col in r_matrix)
         if len(self.r_matrix) != dim:
             raise ValueError("R must be dim x dim")
+        es = [self.basis(i) for i in range(dim)]
+        for (i, x), (j, y) in itertools.product(enumerate(es), repeat=2):
+            if self.r(self.dot(x, y)) != self.dot(self.r(x), y):
+                raise ValueError(f"R is not a right semi-homomorphism at ({i},{j})")
+        super().__init__(self.dot_table, [[self.dot(x, self.r(y)) for y in es] for x in es])
         self.unit = _as_vector(unit, dim) if unit is not None else None
+        if self.unit is not None:
+            for i, x in enumerate(es):
+                if self.dot(self.unit, x) != x or self.dot(x, self.unit) != x:
+                    raise ValueError(f"unit fails at basis vector {i}")
+        self.delta_table = None
         if delta_table is not None:
-            delta_table = tuple(
+            self.delta_table = tuple(
                 tuple(_as_vector(row, dim) for row in mat) for mat in delta_table
             )
-            if len(delta_table) != dim or any(len(m) != dim for m in delta_table):
+            if len(self.delta_table) != dim or any(len(mat) != dim for mat in self.delta_table):
                 raise ValueError("coproduct table must be dim x dim x dim")
-        self.delta_table = delta_table
-        self._check()
-
-    # vectors ---------------------------------------------------------------
-
-    @property
-    def zero(self) -> Vector:
-        return (0,) * self.dim
-
-    def basis(self, i: int) -> Vector:
-        return tuple(1 if j == i else 0 for j in range(self.dim))
-
-    def vector(self, coords) -> Vector:
-        return _as_vector(coords, self.dim)
-
-    def dot(self, x: Vector, y: Vector) -> Vector:
-        out = [0] * self.dim
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if b:
-                    _add_scaled(out, a * b, self.dot_table[i][j])
-        return tuple(out)
+            self._deltas = tuple(
+                LinComb((Tensor(j, k), c) for j, row in enumerate(mat) for k, c in enumerate(row))
+                for mat in self.delta_table
+            )
+            for i in range(dim):
+                if coassociativity_law(self._delta_key, LinComb.term(i)):
+                    raise ValueError(f"coproduct not coassociative at basis vector {i}")
 
     def r(self, x: Vector) -> Vector:
         out = [0] * self.dim
@@ -327,118 +340,42 @@ class SemiHomAlgebra:
                 _add_scaled(out, a, self.r_matrix[i])
         return tuple(out)
 
-    def circ(self, x: Vector, y: Vector) -> Vector:
-        return self.dot(x, self.r(y))
+    # basis-level maps on index keys, for the shared laws
 
-    # tensor-square helpers: a rank-2 tensor element is a dim x dim matrix ---
+    def _delta_key(self, i: int) -> LinComb:
+        return self._deltas[i]
 
-    def delta(self, x: Vector):
+    def _r_key(self, i: int) -> LinComb:
+        return _sparse(self.r_matrix[i])
+
+    def _dot_key(self, i: int, j: int) -> LinComb:
+        return _sparse(self.dot_table[i][j])
+
+    def _circ_key(self, i: int, j: int) -> LinComb:
+        return _sparse(self.circ_table[i][j])
+
+    def delta(self, x: Vector) -> LinComb:
         if self.delta_table is None:
             raise ValueError("this algebra carries no coproduct")
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for i, a in enumerate(x):
-            if a:
-                for j, row in enumerate(self.delta_table[i]):
-                    _add_scaled(out[j], a, row)
-        return out
+        return linear_map(self._delta_key, _sparse(x))
 
-    def _mat_binary(self, p, q, left: Callable, right: Callable):
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                a = p[i][j]
-                if not a:
-                    continue
-                for k in range(self.dim):
-                    for l in range(self.dim):
-                        b = q[k][l]
-                        if not b:
-                            continue
-                        u = left(self.basis(i), self.basis(k))
-                        v = right(self.basis(j), self.basis(l))
-                        ab = a * b
-                        for m, um in enumerate(u):
-                            if not um:
-                                continue
-                            for n, vn in enumerate(v):
-                                if vn:
-                                    out[m][n] += ab * um * vn
-        return out
-
-    def mat_dot(self, p, q):
-        return self._mat_binary(p, q, self.dot, self.dot)
-
-    def mat_star(self, p, q):
-        a = self._mat_binary(p, q, self.dot, self.circ)
-        b = self._mat_binary(p, q, self.circ, self.dot)
-        return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    @staticmethod
-    def mat_sub(p, q):
-        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(p, q)]
-
-    @staticmethod
-    def mat_is_zero(p) -> bool:
-        return all(not x for row in p for x in row)
-
-    # diagnostics -------------------------------------------------------------
-
-    def coderivation_residual(self, x: Vector):
+    def coderivation_residual(self, x: Vector) -> LinComb:
         """Δ(R(x)) − (R⊗id + id⊗R)(Δ(x)); zero when R is a coderivation."""
-        lhs = self.delta(self.r(x))
-        dx = self.delta(x)
-        out = [[0] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            for k in range(self.dim):
-                c = dx[j][k]
-                if not c:
-                    continue
-                for m, t in enumerate(self.r_matrix[j]):
-                    if t:
-                        out[m][k] += c * t
-                for m, t in enumerate(self.r_matrix[k]):
-                    if t:
-                        out[j][m] += c * t
-        return self.mat_sub(lhs, out)
+        return coderivation_law(self._delta_key, self._r_key, _sparse(x))
 
-    def mult_residual(self, x: Vector, y: Vector):
+    def mult_residual(self, x: Vector, y: Vector) -> LinComb:
         """Δ(x·y) − Δ(x)·Δ(y) with the componentwise tensor-square product."""
-        return self.mat_sub(self.delta(self.dot(x, y)), self.mat_dot(self.delta(x), self.delta(y)))
+        square = functools.partial(tensor_square_dot, dot_fn=self._dot_key)
+        return multiplicativity_law(
+            self._delta_key, functools.partial(bilinear, self._dot_key), square, _sparse(x), _sparse(y)
+        )
 
-    def bimatching_residual(self, x: Vector, y: Vector):
+    def bimatching_residual(self, x: Vector, y: Vector) -> LinComb:
         """Δ(x∘y) − Δ(x)∗Δ(y) with the two-term tensor-square product."""
-        return self.mat_sub(self.delta(self.circ(x, y)), self.mat_star(self.delta(x), self.delta(y)))
-
-    def _check(self):
-        es = [self.basis(i) for i in range(self.dim)]
-        for i, x in enumerate(es):
-            for j, y in enumerate(es):
-                if self.r(self.dot(x, y)) != self.dot(self.r(x), y):
-                    raise ValueError(f"R is not a right semi-homomorphism at ({i},{j})")
-                for k, z in enumerate(es):
-                    if self.dot(self.dot(x, y), z) != self.dot(x, self.dot(y, z)):
-                        raise ValueError(f"product not associative at ({i},{j},{k})")
-        if self.unit is not None:
-            for i, x in enumerate(es):
-                if self.dot(self.unit, x) != x or self.dot(x, self.unit) != x:
-                    raise ValueError(f"unit fails at basis vector {i}")
-        if self.delta_table is not None:
-            self._check_coassociative()
-
-    def _check_coassociative(self):
-        # compare the two refinements of Δ into rank-3 tensors
-        pairs = list(itertools.product(range(self.dim), repeat=2))
-        for i, d in enumerate(self.delta_table):
-            left, right = [], []
-            for j, k in pairs:
-                c = d[j][k]
-                if not c:
-                    continue
-                dj, dk = self.delta_table[j], self.delta_table[k]
-                left.extend(((a, b, k), c * dj[a][b]) for a, b in pairs if dj[a][b])
-                right.extend(((j, a, b), c * dk[a][b]) for a, b in pairs if dk[a][b])
-            if LinComb(left) != LinComb(right):
-                raise ValueError(f"coproduct not coassociative at basis vector {i}")
+        square = functools.partial(tensor_square_star, dot_fn=self._dot_key, circ_fn=self._circ_key)
+        return multiplicativity_law(
+            self._delta_key, functools.partial(bilinear, self._circ_key), square, _sparse(x), _sparse(y)
+        )
 
 
 def truncated_polynomial_algebra(m: int) -> SemiHomAlgebra:

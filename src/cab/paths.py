@@ -12,18 +12,29 @@ semi-homomorphism; the induced second product keeps the matched point once:
 
     p[X,b] ∘ p[b,Y] = p[X,b,Y].
 
-R is a coderivation for the coproduct, which the residual function witnesses;
-the bialgebra-style diagnostics report how the coproduct interacts with each
-product on the tensor square instead of asserting a law.
+R is a coderivation for the coproduct, which the residual function witnesses.
+On the tensor square the coproduct is multiplicative for the dot product, and
+the bi-matching law Δ(x∘y) = Δ(x)∗Δ(y) holds; the path suite asserts both.
+Componentwise ∘-multiplicativity fails, and stays a diagnostic pinned to its
+derived nonzero residual.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from typing import Sequence
 
-from .linear import LinComb, Tensor, apply_on_leg, bilinear, linear_map
+from .linear import (
+    LinComb,
+    Tensor,
+    bilinear,
+    coassociativity_law,
+    coderivation_law,
+    linear_map,
+    multiplicativity_law,
+)
 from .matching import tensor_square_dot, tensor_square_star
 from .trees import COLOR_RE, _Key
 
@@ -130,47 +141,40 @@ def path_coproduct(x: LinComb) -> LinComb:
 
 
 def path_coassociativity_residual(x: LinComb) -> LinComb:
-    d = path_coproduct(x)
-    return apply_on_leg(_coproduct_path, d, 0) - apply_on_leg(_coproduct_path, d, 1)
+    return coassociativity_law(_coproduct_path, x)
 
 
 def path_coderivation_residual(x: LinComb) -> LinComb:
     """Δ(R(x)) − (R⊗id + id⊗R)(Δ(x)); zero for every x."""
-    d = path_coproduct(x)
-    return path_coproduct(path_R(x)) - apply_on_leg(_r_path, d, 0) - apply_on_leg(_r_path, d, 1)
+    return coderivation_law(_coproduct_path, _r_path, x)
 
 
 def path_mult_residual(x: LinComb, y: LinComb, product: str = "dot") -> LinComb:
-    """Componentwise multiplicativity diagnostic for one product.
+    """Componentwise multiplicativity residual for one product.
 
-    product="dot":  Δ(x·y) − Δ(x)·Δ(y);
-    product="circ": Δ(x∘y) − Δ(x)∘Δ(y).
-
-    Reported, not asserted: the circ form is nonzero already on
-    p[a,x] ∘ p[x,b].
+    product="dot":  Δ(x·y) − Δ(x)·Δ(y), zero (asserted by the path suite);
+    product="circ": Δ(x∘y) − Δ(x)∘Δ(y), a diagnostic that is nonzero already
+    on p[a,x] ∘ p[x,b].
     """
     if product == "dot":
-        return path_mult_residual_generic(x, y, path_mul, _mul_paths)
-    if product == "circ":
-        return path_mult_residual_generic(x, y, path_circ, _circ_paths)
-    raise ValueError(f"unknown product {product!r}")
-
-
-def path_mult_residual_generic(x, y, mul, basis_mul) -> LinComb:
-    return path_coproduct(mul(x, y)) - tensor_square_dot(
-        path_coproduct(x), path_coproduct(y), basis_mul
-    )
+        mul, key_mul = path_mul, _mul_paths
+    elif product == "circ":
+        mul, key_mul = path_circ, _circ_paths
+    else:
+        raise ValueError(f"unknown product {product!r}")
+    square = functools.partial(tensor_square_dot, dot_fn=key_mul)
+    return multiplicativity_law(_coproduct_path, mul, square, x, y)
 
 
 def path_bimatching_residual(x: LinComb, y: LinComb) -> LinComb:
     """Δ(x∘y) − Δ(x)∗Δ(y) with ∗ the two-term tensor-square product.
 
-    A diagnostic: zero whenever the dot-multiplicativity and coderivation
-    identities hold on the inputs involved.
+    The bi-matching law of the paper, asserted by the path suite: zero
+    whenever the dot-multiplicativity and coderivation identities hold on
+    the inputs involved.
     """
-    return path_coproduct(path_circ(x, y)) - tensor_square_star(
-        path_coproduct(x), path_coproduct(y), _mul_paths, _circ_paths
-    )
+    square = functools.partial(tensor_square_star, dot_fn=_mul_paths, circ_fn=_circ_paths)
+    return multiplicativity_law(_coproduct_path, path_circ, square, x, y)
 
 
 def enumerate_paths(points: Sequence[str], max_interior: int) -> list[Path]:

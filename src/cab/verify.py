@@ -3,7 +3,9 @@
 Each suite runs a battery of exhaustive and seeded-random checks and returns
 one ``Check`` per claim.  Everything is exact arithmetic, so "pass" always
 means the residual was literally zero (or, for the diagnostics and the
-negative control, that the reported value matched the derivation).
+negative control, that the reported value matched the derivation).  Most
+checks are one ``_sweep`` of laws, written once in ``linear``, over lazily
+generated inputs.
 """
 
 from __future__ import annotations
@@ -12,8 +14,19 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .linear import LinComb, Tensor, linear_map, rank, tensor
+from .linear import (
+    LinComb,
+    Tensor,
+    associativity_fails,
+    compatibility_fails,
+    homomorphism_fails,
+    infinitesimal_law,
+    matching_fails,
+    rank,
+    tensor,
+)
 from .trees import Tree, catalan, enumerate_trees
 from .algebra import FinAlgebra, circle, dot, evaluate, lie_bracket, star
 from . import infinitesimal as inf
@@ -28,6 +41,24 @@ class Check:
     name: str
     ok: bool
     detail: str = ""
+
+
+def _sweep(inputs, *laws) -> tuple[int, list[int]]:
+    """Apply every law to every argument tuple of ``inputs``.
+
+    A law returns something true when it fails: a nonzero residual or a
+    failing predicate.  Returns the number of inputs and each law's failure
+    count.  ``inputs`` is consumed lazily, so a generator that draws from an
+    rng draws in the same order as a loop evaluating each input in turn.
+    """
+    n = 0
+    failures = [0] * len(laws)
+    for args in inputs:
+        n += 1
+        for i, law in enumerate(laws):
+            if law(*args):
+                failures[i] += 1
+    return n, failures
 
 
 def _tree_pool(max_degree: int, colors) -> dict[int, list[Tree]]:
@@ -45,6 +76,15 @@ def _random_degrees(rng, k, total):
             return ds
 
 
+def _random_trees(rng, pool, k, total) -> list[LinComb]:
+    """k random basis trees whose degrees sum to at most ``total``."""
+    return [_random_tree(rng, pool, d) for d in _random_degrees(rng, k, total)]
+
+
+def _terms(*keys) -> tuple[LinComb, ...]:
+    return tuple(LinComb.term(k) for k in keys)
+
+
 # --------------------------------------------------------------------------
 # axioms: the two products
 
@@ -58,22 +98,17 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED, random_triples: 
     ) and len(enumerate_trees(2, ["a", "b"])) == 4 * 2
     checks.append(Check("catalan-basis-counts", counts_ok, "degrees 1..8, d in {1,2}"))
 
+    circle_assoc = partial(associativity_fails, circle)
+    compat = partial(compatibility_fails, dot, circle)
     pool1 = _tree_pool(max(1, max_degree - 2), ["a"])
-    assoc_bad = compat_bad = 0
-    n_triples = 0
     degrees = range(1, max_degree - 1)
-    for da, db, dc in itertools.product(degrees, repeat=3):
-        if da + db + dc > max_degree:
-            continue
-        for x, y, z in itertools.product(pool1[da], pool1[db], pool1[dc]):
-            ex, ey, ez = LinComb.term(x), LinComb.term(y), LinComb.term(z)
-            if circle(circle(ex, ey), ez) != circle(ex, circle(ey, ez)):
-                assoc_bad += 1
-            lhs = circle(ex, dot(ey, ez)) + dot(ex, circle(ey, ez))
-            rhs = dot(circle(ex, ey), ez) + circle(dot(ex, ey), ez)
-            if lhs != rhs:
-                compat_bad += 1
-            n_triples += 1
+    triples = (
+        _terms(x, y, z)
+        for da, db, dc in itertools.product(degrees, repeat=3)
+        if da + db + dc <= max_degree
+        for x, y, z in itertools.product(pool1[da], pool1[db], pool1[dc])
+    )
+    n_triples, (assoc_bad, compat_bad) = _sweep(triples, circle_assoc, compat)
     checks.append(
         Check("circle-associativity-exhaustive", assoc_bad == 0,
               f"{n_triples} one-color triples, total degree <= {max_degree}")
@@ -85,18 +120,8 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED, random_triples: 
 
     # the later sweeps draw degrees up to 5 whatever the exhaustive bound is
     pool2 = _tree_pool(max(5, max_degree + 1), ["a", "b"])
-    assoc_bad = compat_bad = 0
-    for _ in range(random_triples):
-        da, db, dc = _random_degrees(rng, 3, max_degree + 1)
-        ex = _random_tree(rng, pool2, da)
-        ey = _random_tree(rng, pool2, db)
-        ez = _random_tree(rng, pool2, dc)
-        if circle(circle(ex, ey), ez) != circle(ex, circle(ey, ez)):
-            assoc_bad += 1
-        lhs = circle(ex, dot(ey, ez)) + dot(ex, circle(ey, ez))
-        rhs = dot(circle(ex, ey), ez) + circle(dot(ex, ey), ez)
-        if lhs != rhs:
-            compat_bad += 1
+    triples = (_random_trees(rng, pool2, 3, max_degree + 1) for _ in range(random_triples))
+    _, (assoc_bad, compat_bad) = _sweep(triples, circle_assoc, compat)
     checks.append(
         Check("circle-associativity-random", assoc_bad == 0,
               f"{random_triples} colored triples (d=2), total degree <= {max_degree + 1}")
@@ -106,69 +131,57 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED, random_triples: 
               f"{random_triples} colored triples (d=2), total degree <= {max_degree + 1}")
     )
 
-    bad = 0
     weight_pairs = [
         (rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
         for _ in range(5)
     ]
-    for alpha, beta in weight_pairs:
-        for _ in range(20):
-            da, db, dc = _random_degrees(rng, 3, 5)
-            ex = _random_tree(rng, pool2, da)
-            ey = _random_tree(rng, pool2, db)
-            ez = _random_tree(rng, pool2, dc)
-            if star(star(ex, ey, alpha, beta), ez, alpha, beta) != star(
-                ex, star(ey, ez, alpha, beta), alpha, beta
-            ):
-                bad += 1
+    inputs = (
+        (partial(star, alpha=alpha, beta=beta), *_random_trees(rng, pool2, 3, 5))
+        for alpha, beta in weight_pairs
+        for _ in range(20)
+    )
+    _, (bad,) = _sweep(inputs, associativity_fails)
     checks.append(Check("star-associativity-random-weights", bad == 0,
                         "5 rational weight pairs x 20 triples"))
 
-    bad = 0
-    for da in range(1, 5):
-        for db in range(1, 5):
-            if da + db > 6:
-                continue
-            for t in pool2[da][: 12]:
-                for w in pool2[db][: 12]:
-                    product = circle(LinComb.term(t), LinComb.term(w))
-                    for key, c in product.items():
-                        if key.degree != da + db or c.denominator != 1:
-                            bad += 1
+    pairs = (
+        (t, w, da + db)
+        for da in range(1, 5)
+        for db in range(1, 5)
+        if da + db <= 6
+        for t in pool2[da][:12]
+        for w in pool2[db][:12]
+    )
+    _, (bad,) = _sweep(pairs, lambda t, w, n: any(
+        key.degree != n or c.denominator != 1 for key, c in circle(*_terms(t, w)).items()
+    ))
     checks.append(Check("circle-degree-and-integrality", bad == 0,
                         "degree additive, integer coefficients"))
 
-    bad = 0
-    for _ in range(60):
-        da, db, dc = _random_degrees(rng, 3, 5)
-        ex = _random_tree(rng, pool2, da)
-        ey = _random_tree(rng, pool2, db)
-        ez = _random_tree(rng, pool2, dc)
-        for kind in ("dot", "circle", "sum"):
-            if lie_bracket(kind, ex, ex):
-                bad += 1
-            jac = (
-                lie_bracket(kind, lie_bracket(kind, ex, ey), ez)
-                + lie_bracket(kind, lie_bracket(kind, ey, ez), ex)
-                + lie_bracket(kind, lie_bracket(kind, ez, ex), ey)
-            )
-            if jac:
-                bad += 1
-    checks.append(Check("lie-brackets", bad == 0, "antisymmetry + Jacobi, 60 triples x 3 brackets"))
+    inputs = (
+        (kind, *xyz)
+        for xyz in (_random_trees(rng, pool2, 3, 5) for _ in range(60))
+        for kind in ("dot", "circle", "sum")
+    )
+
+    def jacobi(kind, x, y, z):
+        br = partial(lie_bracket, kind)
+        return br(br(x, y), z) + br(br(y, z), x) + br(br(z, x), y)
+
+    _, bad = _sweep(inputs, lambda kind, x, y, z: lie_bracket(kind, x, x), jacobi)
+    checks.append(Check("lie-brackets", sum(bad) == 0,
+                        "antisymmetry + Jacobi, 60 triples x 3 brackets"))
 
     target = _poly_fin_algebra(6)
     assign = {"a": target.vector([0, 1, 0, 0, 0, 0]), "b": target.vector([1, 0, 1, 0, 0, 0])}
-    bad = 0
-    for _ in range(60):
-        da, db = _random_degrees(rng, 2, 5)
-        x = _random_tree(rng, pool2, da)
-        y = _random_tree(rng, pool2, db)
-        fx, fy = evaluate(target, assign, x), evaluate(target, assign, y)
-        if evaluate(target, assign, dot(x, y)) != target.dot(fx, fy):
-            bad += 1
-        if evaluate(target, assign, circle(x, y)) != target.circ(fx, fy):
-            bad += 1
-    checks.append(Check("evaluate-homomorphism", bad == 0,
+    ev = partial(evaluate, target, assign)
+    pairs = (_random_trees(rng, pool2, 2, 5) for _ in range(60))
+    _, bad = _sweep(
+        pairs,
+        partial(homomorphism_fails, ev, dot, target.dot),
+        partial(homomorphism_fails, ev, circle, target.circ),
+    )
+    checks.append(Check("evaluate-homomorphism", sum(bad) == 0,
                         "both products, 60 pairs into a validated target"))
     return checks
 
@@ -194,103 +207,85 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
     pool1 = _tree_pool(max_degree, ["a"])
     pool2 = _tree_pool(5, ["a", "b"])  # random sweeps draw degrees up to 5
 
-    coassoc_bad = closed_bad = 0
-    n_trees = 0
-    for n in range(1, max_degree + 1):
-        for t in pool1[n]:
-            x = LinComb.term(t)
-            if inf.coassociativity_residual(x):
-                coassoc_bad += 1
-            if inf.coproduct_closed(t) != inf.coproduct(x):
-                closed_bad += 1
-            n_trees += 1
-    for _ in range(40):
-        x = _random_tree(rng, pool2, rng.randint(1, 5)) + _random_tree(
-            rng, pool2, rng.randint(1, 5)
-        ) * rng.randint(-3, 3)
-        if inf.coassociativity_residual(x):
-            coassoc_bad += 1
-    checks.append(Check("coassociativity", coassoc_bad == 0,
+    trees = ((t,) for n in range(1, max_degree + 1) for t in pool1[n])
+    n_trees, (coassoc_bad, closed_bad) = _sweep(
+        trees,
+        lambda t: inf.coassociativity_residual(LinComb.term(t)),
+        lambda t: inf.coproduct_closed(t) != inf.coproduct(LinComb.term(t)),
+    )
+    elements = (
+        (_random_tree(rng, pool2, rng.randint(1, 5))
+         + _random_tree(rng, pool2, rng.randint(1, 5)) * rng.randint(-3, 3),)
+        for _ in range(40)
+    )
+    _, (random_bad,) = _sweep(elements, inf.coassociativity_residual)
+    checks.append(Check("coassociativity", coassoc_bad + random_bad == 0,
                         f"{n_trees} one-color trees to degree {max_degree} + 40 random colored elements"))
     checks.append(Check("closed-vs-recursive-coproduct", closed_bad == 0,
                         f"{n_trees} one-color trees to degree {max_degree}"))
 
-    dot_bad = circ_bad = 0
-    n_pairs = 0
-    for da in range(1, max_degree):
-        for db in range(1, max_degree):
-            if da + db > max_degree - 1:
-                continue
-            for t, w in itertools.product(pool1[da], pool1[db]):
-                x, y = LinComb.term(t), LinComb.term(w)
-                if inf.infinitesimal_residual("dot", x, y):
-                    dot_bad += 1
-                if inf.infinitesimal_residual("circle", x, y):
-                    circ_bad += 1
-                n_pairs += 1
+    pairs = (
+        _terms(t, w)
+        for da in range(1, max_degree)
+        for db in range(1, max_degree)
+        if da + db <= max_degree - 1
+        for t, w in itertools.product(pool1[da], pool1[db])
+    )
+    n_pairs, (dot_bad, circ_bad) = _sweep(
+        pairs,
+        partial(inf.infinitesimal_residual, "dot"),
+        partial(inf.infinitesimal_residual, "circle"),
+    )
     checks.append(Check("infinitesimal-dot", dot_bad == 0,
                         f"{n_pairs} basis pairs, total degree <= {max_degree - 1}"))
     checks.append(Check("infinitesimal-circle", circ_bad == 0,
                         f"{n_pairs} basis pairs, total degree <= {max_degree - 1}"))
 
-    bad = 0
-    for _ in range(40):
-        da, db = _random_degrees(rng, 2, 6)
-        x = _random_tree(rng, pool2, min(da, 5))
-        y = _random_tree(rng, pool2, min(db, 5))
-        if inf.infinitesimal_residual(("star", -1, 1), x, y):
-            bad += 1
+    pairs = (_random_trees(rng, pool2, 2, 6) for _ in range(40))
+    _, (bad,) = _sweep(pairs, partial(inf.infinitesimal_residual, ("star", -1, 1)))
     checks.append(Check("joni-rota-star", bad == 0,
                         "star(-1,1) has no x⊗y term; 40 random pairs"))
 
-    bad = 0
-    for _ in range(30):
-        da, db, dc = _random_degrees(rng, 3, 6)
-        x = _random_tree(rng, pool2, min(da, 5))
-        y = _random_tree(rng, pool2, min(db, 5))
-        z = _random_tree(rng, pool2, min(dc, 5))
-        combo = (
-            circle(dot(x, y), z) + dot(circle(x, y), z)
-            - dot(x, circle(y, z)) - circle(x, dot(y, z))
-        )
-        if inf.coproduct(combo):
-            bad += 1
+    triples = (_random_trees(rng, pool2, 3, 6) for _ in range(30))
+    _, (bad,) = _sweep(triples, lambda x, y, z: inf.coproduct(
+        circle(dot(x, y), z) + dot(circle(x, y), z)
+        - dot(x, circle(y, z)) - circle(x, dot(y, z))
+    ))
     checks.append(Check("coproduct-well-defined-combination", bad == 0,
                         "Δ of the compatibility combination vanishes; 30 triples"))
 
-    e_bad = series_bad = 0
-    for n in range(1, min(max_degree, 6) + 1):
-        for t in pool1[n]:
-            x = LinComb.term(t)
-            ex = inf.primitive_projector(x)
-            if inf.primitive_projector(ex) != ex or inf.coproduct(ex):
-                e_bad += 1
-            if inf.primitive_projector_series(x) != ex:
-                series_bad += 1
-    for _ in range(30):
-        da, db = _random_degrees(rng, 2, 5)
-        x = dot(_random_tree(rng, pool2, da), _random_tree(rng, pool2, db))
-        if inf.primitive_projector(x):
-            e_bad += 1
-    checks.append(Check("projector-idempotent-primitive", e_bad == 0,
+    def projector_fails(x):
+        ex = inf.primitive_projector(x)
+        return inf.primitive_projector(ex) != ex or inf.coproduct(ex)
+
+    elements = (_terms(t) for n in range(1, min(max_degree, 6) + 1) for t in pool1[n])
+    _, (e_bad, series_bad) = _sweep(
+        elements,
+        projector_fails,
+        lambda x: inf.primitive_projector_series(x) != inf.primitive_projector(x),
+    )
+    products = ((dot(*_random_trees(rng, pool2, 2, 5)),) for _ in range(30))
+    _, (kill_bad,) = _sweep(products, inf.primitive_projector)
+    checks.append(Check("projector-idempotent-primitive", e_bad + kill_bad == 0,
                         "e∘e = e, Δ∘e = 0, e kills dot products"))
     checks.append(Check("projector-series-crosscheck", series_bad == 0,
                         "recursion equals the alternating-sign series"))
 
-    bad = 0
     prims = {
         n: inf.primitive_basis(n, ["a", "b"]) for n in (1, 2)
     }
-    for arity in range(2, 6):
-        for _ in range(10):
-            ps = []
-            budget = 8
-            for _ in range(arity):
-                deg = 2 if (budget > arity and rng.random() < 0.3) else 1
-                budget -= deg
-                ps.append(rng.choice(prims[deg]))
-            if inf.coproduct(inf.n_op(arity, ps)):
-                bad += 1
+
+    def nop_args(arity):
+        ps = []
+        budget = 8
+        for _ in range(arity):
+            deg = 2 if (budget > arity and rng.random() < 0.3) else 1
+            budget -= deg
+            ps.append(rng.choice(prims[deg]))
+        return arity, ps
+
+    inputs = (nop_args(arity) for arity in range(2, 6) for _ in range(10))
+    _, (bad,) = _sweep(inputs, lambda arity, ps: inf.coproduct(inf.n_op(arity, ps)))
     checks.append(Check("primitives-closed-under-nops", bad == 0,
                         "Δ(N_n(p₁..pₙ)) = 0 for primitive arguments, n <= 5"))
     return checks
@@ -312,6 +307,16 @@ def _random_primitive_tuple(rng, prims, arity, budget=8):
     return ps
 
 
+def _relation_inputs(rng, prims, specs, gens, n_random):
+    """(name, arguments) for each ``(name, arity)`` spec: every tuple of
+    ``gens``, then ``n_random`` random tuples of primitives."""
+    for name, arity in specs:
+        for xs in itertools.product(gens, repeat=arity):
+            yield name, list(xs)
+        for _ in range(n_random):
+            yield name, _random_primitive_tuple(rng, prims, arity)
+
+
 def suite_nalgebra(max_n: int = 6, seed: int = DEFAULT_SEED, random_tuples: int = 100):
     checks = []
     rng = random.Random(seed)
@@ -319,59 +324,26 @@ def suite_nalgebra(max_n: int = 6, seed: int = DEFAULT_SEED, random_tuples: int 
     prims = {n: inf.primitive_basis(n, ["a", "b"]) for n in (1, 2)}
 
     relations = [("R1", n) for n in range(2, max_n + 1)] + ["low2", "low3", "low4"]
-    bad = 0
-    n_evals = 0
-    for rel in relations:
-        arity = inf.n_relation_arity(rel)
-        for xs in itertools.product(gens, repeat=arity):
-            if inf.n_relation_residual(rel, list(xs)):
-                bad += 1
-            n_evals += 1
-        for _ in range(random_tuples):
-            xs = _random_primitive_tuple(rng, prims, arity)
-            if inf.n_relation_residual(rel, xs):
-                bad += 1
-            n_evals += 1
+    specs = [(rel, inf.n_relation_arity(rel)) for rel in relations]
+    inputs = _relation_inputs(rng, prims, specs, gens, random_tuples)
+    n_evals, (bad,) = _sweep(inputs, inf.n_relation_residual)
     checks.append(Check("relations-R1-and-low-degree", bad == 0,
                         f"R1(2..{max_n}) + low2..low4; {n_evals} evaluations"))
 
-    bad = 0
-    n_evals = 0
-    for rel in [("R2", 3), ("R2", 4), ("R2", 5), ("R3", 3, 3), ("R3", 3, 4), ("R3", 4, 3), ("R3", 4, 4)]:
-        arity = inf.n_relation_arity(rel)
-        for xs in itertools.product(gens[:1], repeat=arity):
-            if inf.n_relation_residual(rel, list(xs)):
-                bad += 1
-            n_evals += 1
-        for _ in range(max(10, random_tuples // 4)):
-            xs = _random_primitive_tuple(rng, prims, arity)
-            if inf.n_relation_residual(rel, xs):
-                bad += 1
-            n_evals += 1
+    relations = [("R2", 3), ("R2", 4), ("R2", 5), ("R3", 3, 3), ("R3", 3, 4), ("R3", 4, 3), ("R3", 4, 4)]
+    specs = [(rel, inf.n_relation_arity(rel)) for rel in relations]
+    inputs = _relation_inputs(rng, prims, specs, gens[:1], max(10, random_tuples // 4))
+    n_evals, (bad,) = _sweep(inputs, inf.n_relation_residual)
     checks.append(Check("relations-R2-R3-reconstructed", bad == 0,
                         f"index-repaired general forms; {n_evals} evaluations"))
 
-    bad = 0
-    n_evals = 0
-    for name in ("lemma_i", "lemma_ii"):
-        for xs in itertools.product(gens, repeat=3):
-            if inf.n_aux_residual(name, list(xs)):
-                bad += 1
-            n_evals += 1
-        for _ in range(random_tuples):
-            if inf.n_aux_residual(name, _random_primitive_tuple(rng, prims, 3)):
-                bad += 1
-            n_evals += 1
-    for name in ("ind_i", "ind_ii"):
-        for arity in range(2, 6):
-            for xs in itertools.product(gens, repeat=arity):
-                if inf.n_aux_residual(name, list(xs)):
-                    bad += 1
-                n_evals += 1
-            for _ in range(random_tuples // 2):
-                if inf.n_aux_residual(name, _random_primitive_tuple(rng, prims, arity)):
-                    bad += 1
-                n_evals += 1
+    lemmas = [(name, 3) for name in ("lemma_i", "lemma_ii")]
+    inductions = [(name, arity) for name in ("ind_i", "ind_ii") for arity in range(2, 6)]
+    inputs = itertools.chain(
+        _relation_inputs(rng, prims, lemmas, gens, random_tuples),
+        _relation_inputs(rng, prims, inductions, gens, random_tuples // 2),
+    )
+    n_evals, (bad,) = _sweep(inputs, inf.n_aux_residual)
     checks.append(Check("auxiliary-identities", bad == 0,
                         f"lemma and induction identities; {n_evals} evaluations"))
 
@@ -408,84 +380,64 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
         for n in range(1, max(5, max_degree - 1))
     }
 
-    bad = 0
-    n_triples = 0
-    for da in range(1, max_degree - 1):
-        for db in range(1, max_degree - 1):
-            for dc in range(1, max_degree - 1):
-                if da + db + dc > max_degree:
-                    continue
-                for u, v, w in itertools.product(words[da], words[db], words[dc]):
-                    if mat.m_circ(mat.m_dot(u, v), w) != mat.m_dot(u, mat.m_circ(v, w)):
-                        bad += 1
-                    if mat.m_dot(mat.m_circ(u, v), w) != mat.m_circ(u, mat.m_dot(v, w)):
-                        bad += 1
-                    if mat.m_dot(mat.m_dot(u, v), w) != mat.m_dot(u, mat.m_dot(v, w)):
-                        bad += 1
-                    if mat.m_circ(mat.m_circ(u, v), w) != mat.m_circ(u, mat.m_circ(v, w)):
-                        bad += 1
-                    n_triples += 1
-    checks.append(Check("word-matching-laws-exhaustive", bad == 0,
+    degrees = range(1, max_degree - 1)
+    triples = (
+        uvw
+        for da, db, dc in itertools.product(degrees, repeat=3)
+        if da + db + dc <= max_degree
+        for uvw in itertools.product(words[da], words[db], words[dc])
+    )
+    n_triples, bad = _sweep(
+        triples,
+        partial(matching_fails, mat.m_dot, mat.m_circ),
+        partial(associativity_fails, mat.m_dot),
+        partial(associativity_fails, mat.m_circ),
+    )
+    checks.append(Check("word-matching-laws-exhaustive", sum(bad) == 0,
                         f"{n_triples} word triples (d=2), total degree <= {max_degree}, laws hold on the nose"))
 
-    bad = 0
-    for _ in range(60):
-        xs = []
-        for _ in range(3):
-            deg = rng.randint(1, 4)
-            x = LinComb.term(rng.choice(words[deg])) * rng.randint(1, 3)
-            if rng.random() < 0.5:
-                x = x + LinComb.term(rng.choice(words[rng.randint(1, 4)])) * rng.randint(-2, 2)
-            xs.append(x)
-        x, y, z = xs
-        if mat.word_star(mat.word_star(x, y), z) != mat.word_star(x, mat.word_star(y, z)):
-            bad += 1
-        left = linear_map(
-            lambda k: tensor(LinComb.term(k.legs[0]), mat.word_star(LinComb.term(k.legs[1]), y)),
-            mat.word_coproduct(x),
-        )
-        right = linear_map(
-            lambda k: tensor(mat.word_star(x, LinComb.term(k.legs[0])), LinComb.term(k.legs[1])),
-            mat.word_coproduct(y),
-        )
-        if mat.word_coproduct(mat.word_star(x, y)) - left - right:
-            bad += 1
-    checks.append(Check("word-star-joni-rota", bad == 0,
+    def random_word_element():
+        x = LinComb.term(rng.choice(words[rng.randint(1, 4)])) * rng.randint(1, 3)
+        if rng.random() < 0.5:
+            x = x + LinComb.term(rng.choice(words[rng.randint(1, 4)])) * rng.randint(-2, 2)
+        return x
+
+    triples = ([random_word_element() for _ in range(3)] for _ in range(60))
+    _, bad = _sweep(
+        triples,
+        partial(associativity_fails, mat.word_star),
+        lambda x, y, z: infinitesimal_law(mat._coproduct_word, mat.word_star, 0, x, y),
+    )
+    checks.append(Check("word-star-joni-rota", sum(bad) == 0,
                         "∗ = ∘ − · associative with no x⊗y coproduct term; 60 random triples"))
 
     trees2 = _tree_pool(5, ["a", "b"])
-    bad = 0
-    n_pairs = 0
-    for da in range(1, 6):
-        for db in range(1, 6):
-            if da + db > 6:
-                continue
-            for t in trees2[da][: 16]:
-                for w in trees2[db][: 16]:
-                    x, y = LinComb.term(t), LinComb.term(w)
-                    if mat.normalize_lin(dot(x, y)) != mat.word_dot(
-                        mat.normalize_lin(x), mat.normalize_lin(y)
-                    ):
-                        bad += 1
-                    if mat.normalize_lin(circle(x, y)) != mat.word_circ(
-                        mat.normalize_lin(x), mat.normalize_lin(y)
-                    ):
-                        bad += 1
-                    n_pairs += 1
-    checks.append(Check("quotient-homomorphism", bad == 0,
+    pairs = (
+        _terms(t, w)
+        for da in range(1, 6)
+        for db in range(1, 6)
+        if da + db <= 6
+        for t in trees2[da][:16]
+        for w in trees2[db][:16]
+    )
+    n_pairs, bad = _sweep(
+        pairs,
+        partial(homomorphism_fails, mat.normalize_lin, dot, mat.word_dot),
+        partial(homomorphism_fails, mat.normalize_lin, circle, mat.word_circ),
+    )
+    checks.append(Check("quotient-homomorphism", sum(bad) == 0,
                         f"normalize intertwines both products; {n_pairs} pairs"))
 
-    bad = 0
-    n_trees = 0
-    for n in range(1, 7):
-        for t in enumerate_trees(n, ["a", "b"] if n <= 3 else ["a"]):
-            lhs = mat.word_coproduct(LinComb.term(mat.normalize(t)))
-            rhs = inf.coproduct(LinComb.term(t)).map_keys(
-                lambda key: Tensor(mat.normalize(key.legs[0]), mat.normalize(key.legs[1]))
-            )
-            if lhs != rhs:
-                bad += 1
-            n_trees += 1
+    def normalized(key: Tensor) -> Tensor:
+        return Tensor(mat.normalize(key.legs[0]), mat.normalize(key.legs[1]))
+
+    trees = (
+        (t,) for n in range(1, 7) for t in enumerate_trees(n, ["a", "b"] if n <= 3 else ["a"])
+    )
+    n_trees, (bad,) = _sweep(trees, lambda t: (
+        mat.word_coproduct(LinComb.term(mat.normalize(t)))
+        != inf.coproduct(LinComb.term(t)).map_keys(normalized)
+    ))
     checks.append(Check("coproduct-commuting-square", bad == 0,
                         f"word coproduct of the image = image of the tree coproduct; {n_trees} trees to degree 6"))
 
@@ -494,49 +446,37 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
     checks.append(Check("composition-count", ok,
                         "enumerated 2^(n-1) for n <= 12; NOTE: differs from the stated 2^n"))
 
-    hom_bad = 0
-    for u, v in itertools.product(words[1] + words[2] + words[3], repeat=2):
-        cu, cv = mat.word_shape(u), mat.word_shape(v)
-        if mat.word_shape(mat.m_dot(u, v)) != mat.comp_dot(cu, cv):
-            hom_bad += 1
-        if mat.word_shape(mat.m_circ(u, v)) != mat.comp_circ(cu, cv):
-            hom_bad += 1
-    checks.append(Check("composition-homomorphism", hom_bad == 0,
+    pairs = itertools.product(words[1] + words[2] + words[3], repeat=2)
+    _, bad = _sweep(
+        pairs,
+        partial(homomorphism_fails, mat.word_shape, mat.m_dot, mat.comp_dot),
+        partial(homomorphism_fails, mat.word_shape, mat.m_circ, mat.comp_circ),
+    )
+    checks.append(Check("composition-homomorphism", sum(bad) == 0,
                         "block shapes intertwine word and composition products"))
 
-    bad = 0
-    for _ in range(40):
-        ts = []
-        for _ in range(3):
-            w1 = rng.choice(words[rng.randint(1, 3)])
-            w2 = rng.choice(words[rng.randint(1, 3)])
-            t = LinComb.term(Tensor(w1, w2))
-            if rng.random() < 0.5:
-                t = t + LinComb.term(
-                    Tensor(rng.choice(words[rng.randint(1, 3)]), rng.choice(words[rng.randint(1, 3)]))
-                ) * rng.randint(-2, 2)
-            ts.append(t)
-        x, y, z = ts
-        lhs = mat.tensor_square_star(
-            mat.tensor_square_star(x, y, mat.word_key_dot, mat.word_key_circ),
-            z, mat.word_key_dot, mat.word_key_circ)
-        rhs = mat.tensor_square_star(
-            x, mat.tensor_square_star(y, z, mat.word_key_dot, mat.word_key_circ),
-            mat.word_key_dot, mat.word_key_circ)
-        if lhs != rhs:
-            bad += 1
+    def random_tensor_element():
+        w1 = rng.choice(words[rng.randint(1, 3)])
+        w2 = rng.choice(words[rng.randint(1, 3)])
+        t = LinComb.term(Tensor(w1, w2))
+        if rng.random() < 0.5:
+            t = t + LinComb.term(
+                Tensor(rng.choice(words[rng.randint(1, 3)]), rng.choice(words[rng.randint(1, 3)]))
+            ) * rng.randint(-2, 2)
+        return t
+
+    word_square = partial(mat.tensor_square_star, dot_fn=mat.word_key_dot, circ_fn=mat.word_key_circ)
+    triples = ([random_tensor_element() for _ in range(3)] for _ in range(40))
+    _, (bad,) = _sweep(triples, partial(associativity_fails, word_square))
     checks.append(Check("tensor-square-star-associative", bad == 0,
                         "40 random triples in the word dialgebra tensor square"))
 
     left_zero = lambda p, q: LinComb.term(p)
     right_zero = lambda p, q: LinComb.term(q)
+    square = partial(mat.tensor_square_star, dot_fn=left_zero, circ_fn=right_zero)
     x = LinComb.term(Tensor("u", "u"))
     z = LinComb.term(Tensor("v", "v"))
-    lhs = mat.tensor_square_star(
-        mat.tensor_square_star(x, x, left_zero, right_zero), z, left_zero, right_zero)
-    rhs = mat.tensor_square_star(
-        x, mat.tensor_square_star(x, z, left_zero, right_zero), left_zero, right_zero)
-    residual = lhs - rhs
+    residual = square(square(x, x), z) - square(x, square(x, z))
     checks.append(Check("tensor-square-negative-control", bool(residual),
                         f"non-compatible pair reports nonzero associativity residual: {residual}"))
 
@@ -549,51 +489,30 @@ def _semihom_checks(rng) -> list[Check]:
     m = 8
     A = mat.truncated_polynomial_algebra(m)
 
-    bad = sum(
-        0 if A.mat_is_zero(A.coderivation_residual(A.basis(n))) else 1
-        for n in range(m - 1)
-    )
+    _, (bad,) = _sweep(((A.basis(n),) for n in range(m - 1)), A.coderivation_residual)
     checks.append(Check("polynomial-coderivation", bad == 0,
                         f"Δ(R(Xⁿ)) matches for n <= {m - 2} (truncation-safe inputs)"))
 
-    bad = 0
-    n_pairs = 0
-    for i in range(m):
-        for j in range(m):
-            if i + j + 1 >= m:
-                continue
-            if not A.mat_is_zero(A.bimatching_residual(A.basis(i), A.basis(j))):
-                bad += 1
-            if not A.mat_is_zero(A.mult_residual(A.basis(i), A.basis(j))):
-                bad += 1
-            n_pairs += 1
-    checks.append(Check("polynomial-bimatching", bad == 0,
+    pairs = ((A.basis(i), A.basis(j)) for i in range(m) for j in range(m) if i + j + 1 < m)
+    n_pairs, bad = _sweep(pairs, A.bimatching_residual, A.mult_residual)
+    checks.append(Check("polynomial-bimatching", sum(bad) == 0,
                         f"Δ(x∘y) = Δ(x)∗Δ(y) and Δ(x·y) = Δ(x)·Δ(y) on {n_pairs} truncation-safe basis pairs"))
 
-    bad = 0
-    for _ in range(30):
-        x = tuple(rng.randint(-2, 2) for _ in range(m))
-        y = tuple(rng.randint(-2, 2) for _ in range(m))
-        z = tuple(rng.randint(-2, 2) for _ in range(m))
-        if A.circ(A.dot(x, y), z) != A.dot(x, A.circ(y, z)):
-            bad += 1
-        if A.dot(A.circ(x, y), z) != A.circ(x, A.dot(y, z)):
-            bad += 1
-        if A.circ(A.circ(x, y), z) != A.circ(x, A.circ(y, z)):
-            bad += 1
-    checks.append(Check("polynomial-matching-laws", bad == 0,
+    triples = (
+        [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(3)] for _ in range(30)
+    )
+    _, bad = _sweep(
+        triples, partial(matching_fails, A.dot, A.circ), partial(associativity_fails, A.circ)
+    )
+    checks.append(Check("polynomial-matching-laws", sum(bad) == 0,
                         "the induced pair is a matching dialgebra; 30 random triples"))
 
     # R(x) = a·x on a tiny group algebra (basis 1, g with g² = 1)
     dot_table = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
     B = mat.left_multiplication_semihom(dot_table, [1, 1])
-    bad = 0
-    for _ in range(20):
-        x = tuple(rng.randint(-2, 2) for _ in range(2))
-        y = tuple(rng.randint(-2, 2) for _ in range(2))
-        a = B.r(B.basis(0))
-        if B.circ(x, y) != B.dot(x, B.dot(a, y)):
-            bad += 1
+    a = B.r(B.basis(0))
+    pairs = ([tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(2)] for _ in range(20))
+    _, (bad,) = _sweep(pairs, lambda x, y: B.circ(x, y) != B.dot(x, B.dot(a, y)))
     checks.append(Check("left-multiplication-semihom", bad == 0,
                         "R(x) = a·x induces x∘y = x·a·y"))
     return checks
@@ -608,15 +527,17 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
     rng = random.Random(seed)
     S = tuple(points)
     e = pth.path_unit(S)
+    mul, circ = pth.path_mul, pth.path_circ
 
     basis_small = pth.enumerate_paths(S, 2)
     basis_full = pth.enumerate_paths(S, max_interior)
 
-    bad = 0
-    for p in basis_full:
-        x = LinComb.term(p)
-        if pth.path_mul(e, x) != x or pth.path_mul(x, e) != x:
-            bad += 1
+    def small_pairs():
+        return (_terms(p, q) for p, q in itertools.product(basis_small, repeat=2))
+
+    _, (bad,) = _sweep(
+        (_terms(p) for p in basis_full), lambda x: mul(e, x) != x or mul(x, e) != x
+    )
     checks.append(Check("path-unit", bad == 0,
                         f"e = Σ p[i,i] is a two-sided unit on {len(basis_full)} basis paths"))
 
@@ -624,85 +545,60 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
     interiors = [()]
     for k in range(1, 3):
         interiors.extend(itertools.product(S, repeat=k))
-    assoc_bad = match_bad = 0
-    n_triples = 0
-    for a, b, c, d in itertools.product(S, repeat=4):
-        for i1, i2, i3 in itertools.product(interiors, repeat=3):
-            p = LinComb.term(pth.Path((a,) + i1 + (b,)))
-            q = LinComb.term(pth.Path((b,) + i2 + (c,)))
-            r = LinComb.term(pth.Path((c,) + i3 + (d,)))
-            if pth.path_mul(pth.path_mul(p, q), r) != pth.path_mul(p, pth.path_mul(q, r)):
-                assoc_bad += 1
-            if pth.path_circ(pth.path_circ(p, q), r) != pth.path_circ(p, pth.path_circ(q, r)):
-                assoc_bad += 1
-            if pth.path_circ(pth.path_mul(p, q), r) != pth.path_mul(p, pth.path_circ(q, r)):
-                match_bad += 1
-            if pth.path_mul(pth.path_circ(p, q), r) != pth.path_circ(p, pth.path_mul(q, r)):
-                match_bad += 1
-            n_triples += 1
-    checks.append(Check("path-associativity-exhaustive", assoc_bad == 0,
+    triples = (
+        _terms(pth.Path((a,) + i1 + (b,)), pth.Path((b,) + i2 + (c,)), pth.Path((c,) + i3 + (d,)))
+        for a, b, c, d in itertools.product(S, repeat=4)
+        for i1, i2, i3 in itertools.product(interiors, repeat=3)
+    )
+    path_laws = (
+        partial(associativity_fails, mul),
+        partial(associativity_fails, circ),
+        partial(matching_fails, mul, circ),
+    )
+    n_triples, (mul_bad, circ_bad, match_bad) = _sweep(triples, *path_laws)
+    checks.append(Check("path-associativity-exhaustive", mul_bad + circ_bad == 0,
                         f"both products on {n_triples} chained basis triples, interior <= 2"))
     checks.append(Check("path-matching-laws-exhaustive", match_bad == 0,
                         f"both matching laws on {n_triples} chained basis triples, interior <= 2"))
 
-    bad = 0
-    for _ in range(120):
-        xs = []
-        for _ in range(3):
-            x = LinComb.term(rng.choice(basis_full)) * rng.randint(1, 3)
-            if rng.random() < 0.6:
-                x = x + LinComb.term(rng.choice(basis_full)) * rng.randint(-2, 2)
-            xs.append(x)
-        x, y, z = xs
-        if pth.path_mul(pth.path_mul(x, y), z) != pth.path_mul(x, pth.path_mul(y, z)):
-            bad += 1
-        if pth.path_circ(pth.path_circ(x, y), z) != pth.path_circ(x, pth.path_circ(y, z)):
-            bad += 1
-        if pth.path_circ(pth.path_mul(x, y), z) != pth.path_mul(x, pth.path_circ(y, z)):
-            bad += 1
-        if pth.path_mul(pth.path_circ(x, y), z) != pth.path_circ(x, pth.path_mul(y, z)):
-            bad += 1
-    checks.append(Check("path-laws-random-lincombs", bad == 0,
+    def random_path_element():
+        x = LinComb.term(rng.choice(basis_full)) * rng.randint(1, 3)
+        if rng.random() < 0.6:
+            x = x + LinComb.term(rng.choice(basis_full)) * rng.randint(-2, 2)
+        return x
+
+    triples = ([random_path_element() for _ in range(3)] for _ in range(120))
+    _, bad = _sweep(triples, *path_laws)
+    checks.append(Check("path-laws-random-lincombs", sum(bad) == 0,
                         f"120 random linear-combination triples, interior <= {max_interior}"))
 
-    bad = 0
-    for p, q in itertools.product(basis_small, repeat=2):
-        x, y = LinComb.term(p), LinComb.term(q)
-        if pth.path_R(pth.path_mul(x, y)) != pth.path_mul(pth.path_R(x), y):
-            bad += 1
-        if pth.path_circ(x, y) != pth.path_mul(x, pth.path_R(y)):
-            bad += 1
-    checks.append(Check("path-R-semihom", bad == 0,
+    _, bad = _sweep(
+        small_pairs(),
+        lambda x, y: pth.path_R(mul(x, y)) != mul(pth.path_R(x), y),
+        lambda x, y: circ(x, y) != mul(x, pth.path_R(y)),
+    )
+    checks.append(Check("path-R-semihom", sum(bad) == 0,
                         f"R(x·y) = R(x)·y and x∘y = x·R(y) on {len(basis_small) ** 2} basis pairs"))
 
-    bad = 0
-    for a in S:
-        for b in S:
-            p = LinComb.term(pth.Path((a, b)))
-            if pth.path_coproduct(p) != tensor(p, p):
-                bad += 1
+    edges = (_terms(pth.Path((a, b))) for a in S for b in S)
+    _, (bad,) = _sweep(edges, lambda p: pth.path_coproduct(p) != tensor(p, p))
     checks.append(Check("path-grouplike", bad == 0, "Δ(p[a,b]) = p[a,b] ⊗ p[a,b]"))
 
-    coassoc_bad = coder_bad = 0
-    for p in basis_full:
-        x = LinComb.term(p)
-        if pth.path_coassociativity_residual(x):
-            coassoc_bad += 1
-        if pth.path_coderivation_residual(x):
-            coder_bad += 1
+    _, (coassoc_bad, coder_bad) = _sweep(
+        (_terms(p) for p in basis_full),
+        pth.path_coassociativity_residual,
+        pth.path_coderivation_residual,
+    )
     checks.append(Check("path-coassociativity", coassoc_bad == 0,
                         f"exhaustive on {len(basis_full)} paths, interior <= {max_interior}"))
     checks.append(Check("path-coderivation", coder_bad == 0,
                         f"Δ∘R = (R⊗id + id⊗R)∘Δ exhaustively on {len(basis_full)} paths"))
 
-    dot_resid_bad = 0
-    for p, q in itertools.product(basis_small, repeat=2):
-        if pth.path_mult_residual(LinComb.term(p), LinComb.term(q), "dot"):
-            dot_resid_bad += 1
-    checks.append(Check("path-mult-diagnostic-dot", True,
+    _, (bad,) = _sweep(small_pairs(), lambda x, y: pth.path_mult_residual(x, y, "dot"))
+    checks.append(Check("path-mult-diagnostic-dot", bad == 0,
                         f"Δ(x·y) − Δ(x)·Δ(y): zero on all {len(basis_small) ** 2} swept pairs"
-                        if dot_resid_bad == 0 else
-                        f"Δ(x·y) − Δ(x)·Δ(y): nonzero on {dot_resid_bad} pairs"))
+                        if bad == 0 else
+                        f"Δ(x·y) − Δ(x)·Δ(y): nonzero on {bad} pairs"))
 
     x = LinComb.term(pth.Path(("a", "x")))
     y = LinComb.term(pth.Path(("x", "b")))
@@ -717,18 +613,13 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
     checks.append(Check("path-mult-diagnostic-circ", got == expected,
                         "componentwise ∘-multiplicativity fails on p[a,x], p[x,b] with the derived residual"))
 
-    bi_bad = 0
-    n_pairs = 0
-    for p, q in itertools.product(basis_small, repeat=2):
-        if pth.path_bimatching_residual(LinComb.term(p), LinComb.term(q)):
-            bi_bad += 1
-        n_pairs += 1
-    if not pth.path_bimatching_residual(e, e):
-        n_pairs += 1
-    checks.append(Check("path-bimatching-diagnostic", True,
+    n_pairs, (bad,) = _sweep(
+        itertools.chain(small_pairs(), [(e, e)]), pth.path_bimatching_residual
+    )
+    checks.append(Check("path-bimatching-diagnostic", bad == 0,
                         f"Δ(x∘y) − Δ(x)∗Δ(y): zero on all {n_pairs} swept pairs (incl. e,e)"
-                        if bi_bad == 0 else
-                        f"Δ(x∘y) − Δ(x)∗Δ(y): nonzero on {bi_bad} pairs"))
+                        if bad == 0 else
+                        f"Δ(x∘y) − Δ(x)∗Δ(y): nonzero on {bad} pairs"))
     return checks
 
 

@@ -219,13 +219,13 @@ def test_criterion_8_semihom_polynomial_example():
     t0 = time.time()
     A = mat.truncated_polynomial_algebra(8)
     for n in range(7):
-        assert A.mat_is_zero(A.coderivation_residual(A.basis(n)))
+        assert not A.coderivation_residual(A.basis(n))
     n_pairs = 0
     for i in range(8):
         for j in range(8):
             if i + j + 1 >= 8:
                 continue  # the product would cross the truncation
-            assert A.mat_is_zero(A.bimatching_residual(A.basis(i), A.basis(j)))
+            assert not A.bimatching_residual(A.basis(i), A.basis(j))
             n_pairs += 1
     report(8, f"truncated polynomials (m = 8): R is a coderivation and "
               f"Δ(x∘y) = Δ(x)∗Δ(y) on all {n_pairs} truncation-safe basis pairs",

@@ -33,6 +33,15 @@ CASES = {
     "verify-coalgebra-json": [
         "verify", "--suite", "coalgebra", "--max-degree", "3", "--seed", "7", "--json",
     ],
+    "verify-axioms-json": [
+        "verify", "--suite", "axioms", "--max-degree", "4", "--seed", "7", "--json",
+    ],
+    "verify-nalgebra-json": [
+        "verify", "--suite", "nalgebra", "--max-degree", "4", "--seed", "7", "--json",
+    ],
+    "verify-matching-json": [
+        "verify", "--suite", "matching", "--max-degree", "4", "--seed", "7", "--json",
+    ],
 }
 
 

@@ -153,3 +153,23 @@ def test_bimatching_residual():
 
 def test_enumerate_paths_count():
     assert len(enumerate_paths(S, 4)) == 9 * (1 + 3 + 9 + 27 + 81)
+
+
+def test_path_suite_fails_on_nonzero_dot_and_bimatching_residuals(monkeypatch):
+    from cab import paths, verify
+
+    e = path_unit(("a",))
+    nonzero = LinComb.term(Tensor(Path(("a", "a")), Path(("a", "a"))))
+    real_mult = paths.path_mult_residual
+
+    def fake_bimatching(x, y):
+        return nonzero if x == e and y == e else LinComb.zero()
+
+    def fake_mult(x, y, product="dot"):
+        return nonzero if product == "dot" else real_mult(x, y, product)
+
+    monkeypatch.setattr(paths, "path_bimatching_residual", fake_bimatching)
+    monkeypatch.setattr(paths, "path_mult_residual", fake_mult)
+    checks = {c.name: c for c in verify.suite_path(points=("a",), max_interior=1)}
+    assert not checks["path-mult-diagnostic-dot"].ok
+    assert not checks["path-bimatching-diagnostic"].ok
