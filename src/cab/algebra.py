@@ -17,10 +17,10 @@ the universal map from the tree algebra determined by a generator assignment.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Mapping, Sequence
 
-from .linear import LinComb, Scalar, associativity_fails, bilinear, compatibility_fails
+from .linear import LinComb, Scalar, associativity_fails, bilinear, bilinear_keys, compatibility_fails
 from .trees import (
     Tree,
     factorize,
@@ -43,11 +43,7 @@ def elem(t: Tree | str) -> LinComb:
 
 def dot(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear extension of root identification; degree-additive."""
-    out = []
-    for t, a in x.items():
-        for w, b in y.items():
-            out.append((root_concat(t, w), a * b))
-    return LinComb(out)
+    return bilinear_keys(root_concat, x, y)
 
 
 # write-once per key; a concurrent duplicate computation stores the same value
@@ -130,8 +126,9 @@ def _as_table(table, dim: int) -> tuple:
     return out
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
+def _sparse(v: Vector) -> LinComb:
+    """A coordinate vector as a LinComb over its basis indices."""
+    return LinComb(enumerate(v))
 
 
 def _add_scaled(out: list, c: Scalar, v: Vector) -> None:
@@ -147,7 +144,8 @@ class FinAlgebra:
     ``dot_table[i][j]`` (resp. ``circ_table``) holds the coordinates of the
     product of basis vectors e_i and e_j.  Construction rejects tables that
     are not associative or that violate the compatibility identity, so the
-    universal evaluation map below lands in a genuine target.
+    universal evaluation map below lands in a genuine target.  The checks run
+    on index keys, over the sparse table rows ``_dot_key``/``_circ_key``.
     """
 
     def __init__(self, dot_table, circ_table):
@@ -157,6 +155,8 @@ class FinAlgebra:
         self.dim = dim
         self.dot_table = _as_table(dot_table, dim)
         self.circ_table = _as_table(circ_table, dim)
+        self._dot_rows = tuple(tuple(map(_sparse, row)) for row in self.dot_table)
+        self._circ_rows = tuple(tuple(map(_sparse, row)) for row in self.circ_table)
         self._check_tables()
 
     @property
@@ -185,16 +185,23 @@ class FinAlgebra:
     def circ(self, x: Vector, y: Vector) -> Vector:
         return self._apply(self.circ_table, x, y)
 
+    def _dot_key(self, i: int, j: int) -> LinComb:
+        return self._dot_rows[i][j]
+
+    def _circ_key(self, i: int, j: int) -> LinComb:
+        return self._circ_rows[i][j]
+
     def _check_tables(self):
-        es = [self.basis(i) for i in range(self.dim)]
+        dot, circ = partial(bilinear, self._dot_key), partial(bilinear, self._circ_key)
+        es = [LinComb.term(i) for i in range(self.dim)]
         for i, x in enumerate(es):
             for j, y in enumerate(es):
                 for k, z in enumerate(es):
-                    if associativity_fails(self.dot, x, y, z):
+                    if associativity_fails(dot, x, y, z):
                         raise ValueError(f"dot table not associative at ({i},{j},{k})")
-                    if associativity_fails(self.circ, x, y, z):
+                    if associativity_fails(circ, x, y, z):
                         raise ValueError(f"circle table not associative at ({i},{j},{k})")
-                    if compatibility_fails(self.dot, self.circ, x, y, z, vec_add):
+                    if compatibility_fails(dot, circ, x, y, z):
                         raise ValueError(f"tables not compatible at ({i},{j},{k})")
 
 

@@ -46,7 +46,7 @@ from .trees import (
     root_concat,
     unwrap_root,
 )
-from .algebra import circle, dot, star
+from .algebra import circle, circle_trees, dot, star
 from .matching import compositions
 
 _COPRODUCT_CACHE: dict = {}
@@ -64,11 +64,10 @@ def coproduct_tree(t: Tree) -> LinComb:
         # t = u∘a:  Δ(t) = u₁ ⊗ (u₂∘a) + u ⊗ a
         u, a = unwrap_root(t)
         a_tree = leaf(a)
-        a_elem = LinComb.term(a_tree)
         out = [(Tensor(u, a_tree), 1)]
         for key, c in coproduct_tree(u).items():
             u1, u2 = key.legs
-            for w, c2 in circle(LinComb.term(u2), a_elem).items():
+            for w, c2 in circle_trees(u2, a_tree).items():
                 out.append((Tensor(u1, w), c * c2))
         result = LinComb(out)
     else:

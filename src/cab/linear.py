@@ -22,7 +22,10 @@ subtracts coefficients key by key and drops any that cancel.  A new structure
 map is written as a basis-level function returning a LinComb and extended
 with ``linear_map`` or ``bilinear`` (or, for a signed sum of pieces,
 ``LinComb.sum``), never as a loop that adds each scaled image to a running
-sum, which copies the whole sum on every step.
+sum, which copies the whole sum on every step.  A product that sends two
+basis keys to one key or to zero (the tree dot, both word products, the path
+products and their tensor squares) is a key map returning a key or ``None``,
+extended with ``bilinear_keys``; no one-term LinComb is built per pair.
 
 The laws section writes each law of the paper once, over basis-level maps:
 coassociativity, coderivation, multiplicativity on the tensor square and the
@@ -233,6 +236,14 @@ def bilinear(f: Callable, x: LinComb, y: LinComb) -> LinComb:
     )
 
 
+def bilinear_keys(f: Callable, x: LinComb, y: LinComb) -> LinComb:
+    """Extend a basis-level binary map (returning a key, or None for 0) bilinearly."""
+    return _wrap(_merge({}, [
+        (k, cx * cy) for kx, cx in x.items() for ky, cy in y.items()
+        if (k := f(kx, ky)) is not None
+    ]))
+
+
 def tensor(x: LinComb, y: LinComb) -> LinComb:
     """Kronecker product; keys become rank-2 ``Tensor`` keys.
 
@@ -276,8 +287,8 @@ def apply_on_leg(f: Callable, x: LinComb, leg: int) -> LinComb:
 # and verify suite calls it.  ``delta`` is a basis-level coproduct (key →
 # LinComb of rank-2 Tensor keys), ``r`` a basis-level linear map, and products
 # act on whole elements.  The coalgebra laws return their residual; the
-# product laws are predicates, true when the law fails, so that they apply
-# alike to LinCombs, bare keys and dense coordinate tuples.
+# product laws are predicates, true when the law fails; all but compatibility
+# (which adds) apply alike to LinCombs, bare keys and dense coordinate tuples.
 
 
 def coassociativity_law(delta: Callable, x: LinComb) -> LinComb:
@@ -330,11 +341,9 @@ def matching_fails(dot: Callable, circ: Callable, x, y, z) -> bool:
     return circ(dot(x, y), z) != dot(x, circ(y, z)) or dot(circ(x, y), z) != circ(x, dot(y, z))
 
 
-def compatibility_fails(dot: Callable, circ: Callable, x, y, z, add: Callable = operator.add) -> bool:
-    """x∘(y·z) + x·(y∘z) ≠ (x∘y)·z + (x·y)∘z; ``add`` adds two elements
-    (on coordinate tuples, where ``+`` would concatenate)."""
-    lhs = add(circ(x, dot(y, z)), dot(x, circ(y, z)))
-    return lhs != add(dot(circ(x, y), z), circ(dot(x, y), z))
+def compatibility_fails(dot: Callable, circ: Callable, x, y, z) -> bool:
+    """x∘(y·z) + x·(y∘z) ≠ (x∘y)·z + (x·y)∘z."""
+    return circ(x, dot(y, z)) + dot(x, circ(y, z)) != dot(circ(x, y), z) + circ(dot(x, y), z)
 
 
 def homomorphism_fails(f: Callable, mul: Callable, target_mul: Callable, x, y) -> bool:

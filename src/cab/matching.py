@@ -27,11 +27,12 @@ import itertools
 import re
 from typing import Callable, Sequence
 
-from .algebra import FinAlgebra, Vector, _add_scaled, _as_table, _as_vector
+from .algebra import FinAlgebra, Vector, _add_scaled, _as_table, _as_vector, _sparse
 from .linear import (
     LinComb,
     Tensor,
     bilinear,
+    bilinear_keys,
     coassociativity_law,
     coderivation_law,
     linear_map,
@@ -100,15 +101,11 @@ def m_circ(u: Word, w: Word) -> Word:
 
 
 def word_dot(x: LinComb, y: LinComb) -> LinComb:
-    return LinComb(
-        (m_dot(u, w), a * b) for u, a in x.items() for w, b in y.items()
-    )
+    return bilinear_keys(m_dot, x, y)
 
 
 def word_circ(x: LinComb, y: LinComb) -> LinComb:
-    return LinComb(
-        (m_circ(u, w), a * b) for u, a in x.items() for w, b in y.items()
-    )
+    return bilinear_keys(m_circ, x, y)
 
 
 def word_star(x: LinComb, y: LinComb) -> LinComb:
@@ -247,44 +244,46 @@ def enumerate_words(n: int, colors: Sequence[str]) -> list[Word]:
 # --- tensor-square products --------------------------------------------------
 
 
-def tensor_square_dot(x: LinComb, y: LinComb, dot_fn: Callable) -> LinComb:
-    """Componentwise product on rank-2 tensors: (a₁⊗a₂)·(b₁⊗b₂) = a₁b₁⊗a₂b₂."""
+def _legwise(f: Callable, g: Callable) -> Callable:
+    """The key map (a₁⊗a₂, b₁⊗b₂) ↦ f(a₁,b₁) ⊗ g(a₂,b₂), None if a leg is."""
 
-    def on_basis(kx, ky):
+    def on_keys(kx, ky):
         (a1, a2), (b1, b2) = kx.legs, ky.legs
-        return tensor(dot_fn(a1, b1), dot_fn(a2, b2))
+        k1, k2 = f(a1, b1), g(a2, b2)
+        return None if k1 is None or k2 is None else Tensor(k1, k2)
 
-    return bilinear(on_basis, x, y)
+    return on_keys
+
+
+def tensor_square_dot(x: LinComb, y: LinComb, dot_fn: Callable) -> LinComb:
+    """Componentwise product on rank-2 tensors: (a₁⊗a₂)·(b₁⊗b₂) = a₁b₁⊗a₂b₂,
+    for ``dot_fn`` a key map (a key, or None for zero)."""
+    return bilinear_keys(_legwise(dot_fn, dot_fn), x, y)
 
 
 def tensor_square_star(x: LinComb, y: LinComb, dot_fn: Callable, circ_fn: Callable) -> LinComb:
     """(a₁⊗a₂)∗(b₁⊗b₂) = a₁·b₁ ⊗ a₂∘b₂ + a₁∘b₁ ⊗ a₂·b₂.
 
     Associative exactly when the underlying pair satisfies the compatibility
-    identity; the products are passed as basis-level maps returning LinCombs.
+    identity; the products are key maps (a key, or None for zero).
     """
-
-    def on_basis(kx, ky):
-        (a1, a2), (b1, b2) = kx.legs, ky.legs
-        return tensor(dot_fn(a1, b1), circ_fn(a2, b2)) + tensor(circ_fn(a1, b1), dot_fn(a2, b2))
-
-    return bilinear(on_basis, x, y)
-
-
-def word_key_dot(u: Word, w: Word) -> LinComb:
-    return LinComb.term(m_dot(u, w))
-
-
-def word_key_circ(u: Word, w: Word) -> LinComb:
-    return LinComb.term(m_circ(u, w))
+    return (bilinear_keys(_legwise(dot_fn, circ_fn), x, y)
+            + bilinear_keys(_legwise(circ_fn, dot_fn), x, y))
 
 
 # --- finite algebras carrying a right semi-homomorphism ----------------------
 
 
-def _sparse(v: Vector) -> LinComb:
-    """A coordinate vector as a LinComb over its basis indices."""
-    return LinComb(enumerate(v))
+def _formal_square(square: Callable, *products: Callable) -> Callable:
+    """``square`` for products returning table rows, not keys: run on formal
+    keys ``(product, i, j)``, then each tensor of two of them evaluated once."""
+
+    def evaluate(key):
+        (f, i, j), (g, k, l) = key.legs
+        return tensor(f(i, j), g(k, l))
+
+    formal = [lambda i, j, p=p: (p, i, j) for p in products]
+    return lambda u, v: linear_map(evaluate, square(u, v, *formal))
 
 
 class SemiHomAlgebra(FinAlgebra):
@@ -345,36 +344,33 @@ class SemiHomAlgebra(FinAlgebra):
     def _delta_key(self, i: int) -> LinComb:
         return self._deltas[i]
 
+    def _coproduct(self) -> Callable:
+        if self.delta_table is None:
+            raise ValueError("this algebra carries no coproduct")
+        return self._delta_key
+
     def _r_key(self, i: int) -> LinComb:
         return _sparse(self.r_matrix[i])
 
-    def _dot_key(self, i: int, j: int) -> LinComb:
-        return _sparse(self.dot_table[i][j])
-
-    def _circ_key(self, i: int, j: int) -> LinComb:
-        return _sparse(self.circ_table[i][j])
-
     def delta(self, x: Vector) -> LinComb:
-        if self.delta_table is None:
-            raise ValueError("this algebra carries no coproduct")
-        return linear_map(self._delta_key, _sparse(x))
+        return linear_map(self._coproduct(), _sparse(x))
 
     def coderivation_residual(self, x: Vector) -> LinComb:
         """Δ(R(x)) − (R⊗id + id⊗R)(Δ(x)); zero when R is a coderivation."""
-        return coderivation_law(self._delta_key, self._r_key, _sparse(x))
+        return coderivation_law(self._coproduct(), self._r_key, _sparse(x))
 
     def mult_residual(self, x: Vector, y: Vector) -> LinComb:
         """Δ(x·y) − Δ(x)·Δ(y) with the componentwise tensor-square product."""
-        square = functools.partial(tensor_square_dot, dot_fn=self._dot_key)
+        square = _formal_square(tensor_square_dot, self._dot_key)
         return multiplicativity_law(
-            self._delta_key, functools.partial(bilinear, self._dot_key), square, _sparse(x), _sparse(y)
+            self._coproduct(), functools.partial(bilinear, self._dot_key), square, _sparse(x), _sparse(y)
         )
 
     def bimatching_residual(self, x: Vector, y: Vector) -> LinComb:
         """Δ(x∘y) − Δ(x)∗Δ(y) with the two-term tensor-square product."""
-        square = functools.partial(tensor_square_star, dot_fn=self._dot_key, circ_fn=self._circ_key)
+        square = _formal_square(tensor_square_star, self._dot_key, self._circ_key)
         return multiplicativity_law(
-            self._delta_key, functools.partial(bilinear, self._circ_key), square, _sparse(x), _sparse(y)
+            self._coproduct(), functools.partial(bilinear, self._circ_key), square, _sparse(x), _sparse(y)
         )
 
 

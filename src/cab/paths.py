@@ -29,7 +29,7 @@ from typing import Sequence
 from .linear import (
     LinComb,
     Tensor,
-    bilinear,
+    bilinear_keys,
     coassociativity_law,
     coderivation_law,
     linear_map,
@@ -91,25 +91,25 @@ def path_unit(points: Sequence[str]) -> LinComb:
     return LinComb((Path((s, s)), 1) for s in points)
 
 
-def _mul_paths(p: Path, q: Path) -> LinComb:
+def _mul_paths(p: Path, q: Path) -> Path | None:
     if p.points[-1] != q.points[0]:
-        return LinComb.zero()
-    return LinComb.term(Path(p.points[:-1] + q.points[1:]))
+        return None
+    return Path(p.points[:-1] + q.points[1:])
 
 
 def path_mul(x: LinComb, y: LinComb) -> LinComb:
-    return bilinear(_mul_paths, x, y)
+    return bilinear_keys(_mul_paths, x, y)
 
 
-def _circ_paths(p: Path, q: Path) -> LinComb:
+def _circ_paths(p: Path, q: Path) -> Path | None:
     if p.points[-1] != q.points[0]:
-        return LinComb.zero()
-    return LinComb.term(Path(p.points + q.points[1:]))
+        return None
+    return Path(p.points + q.points[1:])
 
 
 def path_circ(x: LinComb, y: LinComb) -> LinComb:
     """x∘y; equals x·R(y) and keeps the matched point once."""
-    return bilinear(_circ_paths, x, y)
+    return bilinear_keys(_circ_paths, x, y)
 
 
 def _r_path(p: Path) -> LinComb:
@@ -118,7 +118,7 @@ def _r_path(p: Path) -> LinComb:
 
 def path_R(x: LinComb) -> LinComb:
     """Duplicate each path's first point; R(x·y) = R(x)·y."""
-    return x.map_keys(lambda p: Path((p.points[0],) + p.points))
+    return linear_map(_r_path, x)
 
 
 def _coproduct_path(p: Path) -> LinComb:

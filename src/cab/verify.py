@@ -465,14 +465,14 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
             ) * rng.randint(-2, 2)
         return t
 
-    word_square = partial(mat.tensor_square_star, dot_fn=mat.word_key_dot, circ_fn=mat.word_key_circ)
+    word_square = partial(mat.tensor_square_star, dot_fn=mat.m_dot, circ_fn=mat.m_circ)
     triples = ([random_tensor_element() for _ in range(3)] for _ in range(40))
     _, (bad,) = _sweep(triples, partial(associativity_fails, word_square))
     checks.append(Check("tensor-square-star-associative", bad == 0,
                         "40 random triples in the word dialgebra tensor square"))
 
-    left_zero = lambda p, q: LinComb.term(p)
-    right_zero = lambda p, q: LinComb.term(q)
+    left_zero = lambda p, q: p
+    right_zero = lambda p, q: q
     square = partial(mat.tensor_square_star, dot_fn=left_zero, circ_fn=right_zero)
     x = LinComb.term(Tensor("u", "u"))
     z = LinComb.term(Tensor("v", "v"))
@@ -635,7 +635,13 @@ SUITES = {
 
 
 def run_suites(names, max_degree: int | None = None, seed: int = DEFAULT_SEED) -> list[Check]:
-    """Run the named suites; ``max_degree`` rescales the exhaustive bounds."""
+    """Run the named suites; ``max_degree`` rescales the exhaustive bounds.
+
+    Below 3 some exhaustive checks would run on no input at all and pass, so
+    a smaller ``max_degree`` is refused before any suite runs.
+    """
+    if max_degree is not None and max_degree < 3:
+        raise ValueError(f"max degree must be at least 3, got {max_degree}")
     checks = []
     for name in names:
         fn = SUITES[name]

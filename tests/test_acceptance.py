@@ -255,8 +255,8 @@ def test_criterion_9_path_suite():
 
 def test_criterion_10_negative_control():
     t0 = time.time()
-    left_zero = lambda p, q: LinComb.term(p)
-    right_zero = lambda p, q: LinComb.term(q)
+    left_zero = lambda p, q: p
+    right_zero = lambda p, q: q
     x = LinComb.term(Tensor("u", "u"))
     z = LinComb.term(Tensor("v", "v"))
     lhs = mat.tensor_square_star(

@@ -121,6 +121,15 @@ def test_verify_json(capsys):
     assert checks and all(c["ok"] for c in checks)
 
 
+def test_verify_refuses_max_degree_below_three(capsys):
+    # below 3 some exhaustive checks would pass on zero inputs
+    for degree in ("2", "1", "0", "-1"):
+        for suite in ("coalgebra", "axioms"):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--max-degree", degree)
+            assert (code, out) == (1, "")
+            assert f"max degree must be at least 3, got {degree}" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "mul", "--op", "bogus", "(a)", "(b)")[0] == 1
     assert run(capsys, "mul", "--op", "dot", "(a", "(b)")[0] == 1

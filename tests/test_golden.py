@@ -28,6 +28,10 @@ CASES = {
     "word-mul": ["word-mul", "--op", "dot", "a|b.c", "c|d"],
     "path-mul": ["path", "mul", "--points", "a,b,x,y", "p[a,x,y]", "p[y,b]"],
     "path-circ": ["path", "circ", "--points", "a,b,x,y", "p[a,x,y]", "p[y,x,b]"],
+    "path-mul-zero": ["path", "mul", "--points", "a,b", "p[a,b]", "p[a,b]"],
+    "path-mul-zero-json": ["path", "mul", "--points", "a,b", "p[a,b]", "p[a,b]", "--json"],
+    "path-circ-zero": ["path", "circ", "--points", "a,b", "p[a,b]", "p[a,b]"],
+    "path-circ-zero-json": ["path", "circ", "--points", "a,b", "p[a,b]", "p[a,b]", "--json"],
     "path-coproduct": ["path", "coproduct", "--points", "a,b,x,y", "p[a,x,y,b]"],
     "dims": ["dims", "--max", "8", "--colors", "2"],
     "verify-coalgebra-json": [

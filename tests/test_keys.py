@@ -117,7 +117,8 @@ def test_path_keys():
                 assert_agrees(leg, parse_path)
     for p, q in itertools.product(paths, repeat=2):
         for product in (_mul_paths, _circ_paths):
-            for key in product(p, q).support():
+            key = product(p, q)
+            if key is not None:
                 assert_agrees(key, parse_path)
 
 

@@ -12,6 +12,7 @@ from cab.linear import (
     Tensor,
     apply_on_leg,
     bilinear,
+    bilinear_keys,
     linear_map,
     rank,
     tensor,
@@ -70,6 +71,33 @@ def test_linear_and_bilinear_extensions_match_fold(image, x, y):
 
 def _coefficient_types(results):
     return {type(c) for result in results for _, c in result.items()}
+
+
+# a key map with zeros and with coincidences: s·s = 0, t·t = s·t, ...
+key_maps = st.fixed_dictionaries(
+    {(a, b): st.one_of(st.none(), st.sampled_from(KEYS)) for a in KEYS for b in KEYS}
+)
+
+
+@settings(deadline=None)
+@given(key_maps, lincombs, lincombs)
+def test_bilinear_keys_matches_lifted_bilinear(table, x, y):
+    f = lambda a, b: table[a, b]
+    lifted = lambda a, b: LinComb.zero() if f(a, b) is None else LinComb.term(f(a, b))
+    got = bilinear_keys(f, x, y)
+    assert got == bilinear(lifted, x, y)
+    assert all(c != 0 for _, c in got.items())
+    assert bilinear_keys(lambda a, b: None, x, y).is_zero
+
+
+def test_bilinear_keys_drops_cancelling_keys_and_keeps_int():
+    x = LinComb([("s", 2), ("t", -2)])
+    y = LinComb([("u", 3)])
+    assert bilinear_keys(lambda a, b: "w", x, y).is_zero  # 6·w − 6·w
+    got = bilinear_keys(lambda a, b: a + b, x, y)
+    assert got == LinComb([("su", 6), ("tu", -6)])
+    assert all(type(c) is int for _, c in got.items())
+    assert bilinear_keys(lambda a, b: a if a == "s" else None, x, y) == LinComb([("s", 6)])
 
 
 def test_integer_inputs_keep_int_coefficients():

@@ -31,8 +31,6 @@ from cab.matching import (
     word_circ,
     word_coproduct,
     word_dot,
-    word_key_circ,
-    word_key_dot,
     word_shape,
     word_star,
 )
@@ -255,14 +253,14 @@ def test_enumerate_words_counts():
 def test_tensor_square_dot_componentwise():
     x = LinComb.term(Tensor(word("a"), word("b")))
     y = LinComb.term(Tensor(word("c"), word("d")))
-    got = tensor_square_dot(x, y, word_key_dot)
+    got = tensor_square_dot(x, y, m_dot)
     assert got == LinComb.term(Tensor(word("a|c"), word("b|d")))
 
 
 def test_tensor_square_star_two_terms():
     x = LinComb.term(Tensor(word("a"), word("b")))
     y = LinComb.term(Tensor(word("c"), word("d")))
-    got = tensor_square_star(x, y, word_key_dot, word_key_circ)
+    got = tensor_square_star(x, y, m_dot, m_circ)
     assert got == LinComb.term(Tensor(word("a|c"), word("b.d"))) + LinComb.term(
         Tensor(word("a.c"), word("b|d"))
     )
@@ -279,18 +277,18 @@ def test_tensor_square_star_associative_on_words():
         ]
         x, y, z = xs
         lhs = tensor_square_star(
-            tensor_square_star(x, y, word_key_dot, word_key_circ), z, word_key_dot, word_key_circ
+            tensor_square_star(x, y, m_dot, m_circ), z, m_dot, m_circ
         )
         rhs = tensor_square_star(
-            x, tensor_square_star(y, z, word_key_dot, word_key_circ), word_key_dot, word_key_circ
+            x, tensor_square_star(y, z, m_dot, m_circ), m_dot, m_circ
         )
         assert lhs == rhs
 
 
 def test_tensor_square_star_negative_control():
     """A non-compatible pair of associative products breaks associativity."""
-    left_zero = lambda p, q: LinComb.term(p)
-    right_zero = lambda p, q: LinComb.term(q)
+    left_zero = lambda p, q: p
+    right_zero = lambda p, q: q
     x = LinComb.term(Tensor("u", "u"))
     z = LinComb.term(Tensor("v", "v"))
     lhs = tensor_square_star(
@@ -400,3 +398,14 @@ def test_left_multiplication_semihom():
         y = tuple(Fraction(rng.randint(-3, 3)) for _ in range(2))
         assert B.circ(x, y) == B.dot(x, B.dot(a, y))
         assert B.r(B.dot(x, y)) == B.dot(B.r(x), y)
+
+
+def test_semihom_without_coproduct_refuses_coalgebra_residuals():
+    B = left_multiplication_semihom([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 1])
+    x = B.basis(1)
+    for residual in (B.delta, B.coderivation_residual):
+        with pytest.raises(ValueError, match="carries no coproduct"):
+            residual(x)
+    for residual in (B.mult_residual, B.bimatching_residual):
+        with pytest.raises(ValueError, match="carries no coproduct"):
+            residual(x, x)
