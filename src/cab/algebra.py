@@ -20,7 +20,15 @@ from fractions import Fraction
 from functools import partial, reduce
 from typing import Mapping, Sequence
 
-from .linear import LinComb, Scalar, associativity_fails, bilinear, bilinear_keys, compatibility_fails
+from .linear import (
+    LinComb,
+    Scalar,
+    associativity_fails,
+    bilinear,
+    bilinear_keys,
+    compatibility_fails,
+    linear_map,
+)
 from .trees import (
     Tree,
     factorize,
@@ -108,10 +116,8 @@ def lie_bracket(kind: str, x: LinComb, y: LinComb) -> LinComb:
     raise ValueError(f"unknown bracket kind {kind!r}")
 
 
-Vector = tuple  # coordinates, entries int or Fraction
-
-
-def _as_vector(coords: Sequence[Scalar], dim: int) -> Vector:
+def _as_vector(coords: Sequence[Scalar], dim: int) -> tuple:
+    """Validated coordinates, entries int or Fraction."""
     v = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords)
     if len(v) != dim:
         raise ValueError(f"expected a vector of dimension {dim}, got {len(v)}")
@@ -126,26 +132,26 @@ def _as_table(table, dim: int) -> tuple:
     return out
 
 
-def _sparse(v: Vector) -> LinComb:
+def _sparse(v: Sequence[Scalar]) -> LinComb:
     """A coordinate vector as a LinComb over its basis indices."""
     return LinComb(enumerate(v))
 
 
-def _add_scaled(out: list, c: Scalar, v: Vector) -> None:
-    """``out += c·v`` in place, skipping the zero entries of ``v``."""
-    for k, t in enumerate(v):
-        if t:
-            out[k] += c * t
+def _dense(x: LinComb, dim: int) -> tuple:
+    """The coordinates of a LinComb over the basis indices ``0..dim-1``."""
+    return tuple(x.coeff(k) for k in range(dim))
 
 
 class FinAlgebra:
     """A finite-dimensional algebra with two products given by structure tables.
 
     ``dot_table[i][j]`` (resp. ``circ_table``) holds the coordinates of the
-    product of basis vectors e_i and e_j.  Construction rejects tables that
-    are not associative or that violate the compatibility identity, so the
-    universal evaluation map below lands in a genuine target.  The checks run
-    on index keys, over the sparse table rows ``_dot_key``/``_circ_key``.
+    product of basis vectors e_i and e_j.  Elements are LinCombs over the
+    basis indices ``0..dim-1``; ``vector`` turns coordinates into one, and
+    the products extend the table rows (``_dot_key``/``_circ_key``)
+    bilinearly.  Construction rejects tables that are not associative or
+    that violate the compatibility identity, so the universal evaluation map
+    below lands in a genuine target.
     """
 
     def __init__(self, dot_table, circ_table):
@@ -160,30 +166,14 @@ class FinAlgebra:
         self._check_tables()
 
     @property
-    def zero(self) -> Vector:
-        return (0,) * self.dim
+    def zero(self) -> LinComb:
+        return LinComb.zero()
 
-    def basis(self, i: int) -> Vector:
-        return tuple(1 if j == i else 0 for j in range(self.dim))
+    def basis(self, i: int) -> LinComb:
+        return LinComb.term(i)
 
-    def vector(self, coords: Sequence[Scalar]) -> Vector:
-        return _as_vector(coords, self.dim)
-
-    def _apply(self, table, x: Vector, y: Vector) -> Vector:
-        out = [0] * self.dim
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if b:
-                    _add_scaled(out, a * b, table[i][j])
-        return tuple(out)
-
-    def dot(self, x: Vector, y: Vector) -> Vector:
-        return self._apply(self.dot_table, x, y)
-
-    def circ(self, x: Vector, y: Vector) -> Vector:
-        return self._apply(self.circ_table, x, y)
+    def vector(self, coords: Sequence[Scalar]) -> LinComb:
+        return _sparse(_as_vector(coords, self.dim))
 
     def _dot_key(self, i: int, j: int) -> LinComb:
         return self._dot_rows[i][j]
@@ -191,36 +181,39 @@ class FinAlgebra:
     def _circ_key(self, i: int, j: int) -> LinComb:
         return self._circ_rows[i][j]
 
+    def dot(self, x: LinComb, y: LinComb) -> LinComb:
+        return bilinear(self._dot_key, x, y)
+
+    def circ(self, x: LinComb, y: LinComb) -> LinComb:
+        return bilinear(self._circ_key, x, y)
+
     def _check_tables(self):
-        dot, circ = partial(bilinear, self._dot_key), partial(bilinear, self._circ_key)
-        es = [LinComb.term(i) for i in range(self.dim)]
+        es = [self.basis(i) for i in range(self.dim)]
         for i, x in enumerate(es):
             for j, y in enumerate(es):
                 for k, z in enumerate(es):
-                    if associativity_fails(dot, x, y, z):
+                    if associativity_fails(self.dot, x, y, z):
                         raise ValueError(f"dot table not associative at ({i},{j},{k})")
-                    if associativity_fails(circ, x, y, z):
+                    if associativity_fails(self.circ, x, y, z):
                         raise ValueError(f"circle table not associative at ({i},{j},{k})")
-                    if compatibility_fails(dot, circ, x, y, z):
+                    if compatibility_fails(self.dot, self.circ, x, y, z):
                         raise ValueError(f"tables not compatible at ({i},{j},{k})")
 
 
-def evaluate(target: FinAlgebra, assign: Mapping[str, Sequence[Scalar]], x: LinComb) -> Vector:
+def evaluate(target: FinAlgebra, assign: Mapping[str, Sequence[Scalar]], x: LinComb) -> LinComb:
     """The algebra map determined by a generator assignment.
 
     Generators go to their assigned vectors; an irreducible tree u∘a goes to
     the circle product of the image of u with the image of a; a product of
     irreducibles goes to the dot product of the factor images.  Extended
-    linearly; a homomorphism for both products.
+    linearly; a homomorphism for both products.  The image is a LinComb over
+    the target's basis indices.
     """
     vectors = {color: target.vector(v) for color, v in assign.items()}
-    out = [0] * target.dim
-    for t, c in x.items():
-        _add_scaled(out, c, _evaluate_tree(target, vectors, t))
-    return tuple(out)
+    return linear_map(partial(_evaluate_tree, target, vectors), x)
 
 
-def _evaluate_tree(target: FinAlgebra, vectors, t: Tree) -> Vector:
+def _evaluate_tree(target: FinAlgebra, vectors, t: Tree) -> LinComb:
     if len(t.children) == 1 and not t.children[0][1]:  # a generator
         color = t.children[0][0]
         if color not in vectors:

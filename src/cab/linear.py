@@ -287,8 +287,9 @@ def apply_on_leg(f: Callable, x: LinComb, leg: int) -> LinComb:
 # and verify suite calls it.  ``delta`` is a basis-level coproduct (key →
 # LinComb of rank-2 Tensor keys), ``r`` a basis-level linear map, and products
 # act on whole elements.  The coalgebra laws return their residual; the
-# product laws are predicates, true when the law fails; all but compatibility
-# (which adds) apply alike to LinCombs, bare keys and dense coordinate tuples.
+# product laws are predicates, true when the law fails.  Associativity, the
+# matching laws and the homomorphism law take LinCombs or, under a key map,
+# bare keys (the exhaustive word and path sweeps run on keys).
 
 
 def coassociativity_law(delta: Callable, x: LinComb) -> LinComb:

@@ -22,16 +22,14 @@ shared laws of ``linear`` on index keys.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from typing import Callable, Sequence
 
-from .algebra import FinAlgebra, Vector, _add_scaled, _as_table, _as_vector, _sparse
+from .algebra import FinAlgebra, _as_table, _as_vector, _dense, _sparse
 from .linear import (
     LinComb,
     Tensor,
-    bilinear,
     bilinear_keys,
     coassociativity_law,
     coderivation_law,
@@ -307,12 +305,16 @@ class SemiHomAlgebra(FinAlgebra):
         self.r_matrix = tuple(_as_vector(col, dim) for col in r_matrix)
         if len(self.r_matrix) != dim:
             raise ValueError("R must be dim x dim")
+        self._dot_rows = tuple(tuple(map(_sparse, row)) for row in self.dot_table)
+        self._r_rows = tuple(map(_sparse, self.r_matrix))
         es = [self.basis(i) for i in range(dim)]
         for (i, x), (j, y) in itertools.product(enumerate(es), repeat=2):
             if self.r(self.dot(x, y)) != self.dot(self.r(x), y):
                 raise ValueError(f"R is not a right semi-homomorphism at ({i},{j})")
-        super().__init__(self.dot_table, [[self.dot(x, self.r(y)) for y in es] for x in es])
-        self.unit = _as_vector(unit, dim) if unit is not None else None
+        super().__init__(
+            self.dot_table, [[_dense(self.dot(x, self.r(y)), dim) for y in es] for x in es]
+        )
+        self.unit = self.vector(unit) if unit is not None else None
         if self.unit is not None:
             for i, x in enumerate(es):
                 if self.dot(self.unit, x) != x or self.dot(x, self.unit) != x:
@@ -332,14 +334,10 @@ class SemiHomAlgebra(FinAlgebra):
                 if coassociativity_law(self._delta_key, LinComb.term(i)):
                     raise ValueError(f"coproduct not coassociative at basis vector {i}")
 
-    def r(self, x: Vector) -> Vector:
-        out = [0] * self.dim
-        for i, a in enumerate(x):
-            if a:
-                _add_scaled(out, a, self.r_matrix[i])
-        return tuple(out)
-
     # basis-level maps on index keys, for the shared laws
+
+    def _r_key(self, i: int) -> LinComb:
+        return self._r_rows[i]
 
     def _delta_key(self, i: int) -> LinComb:
         return self._deltas[i]
@@ -349,29 +347,25 @@ class SemiHomAlgebra(FinAlgebra):
             raise ValueError("this algebra carries no coproduct")
         return self._delta_key
 
-    def _r_key(self, i: int) -> LinComb:
-        return _sparse(self.r_matrix[i])
+    def r(self, x: LinComb) -> LinComb:
+        return linear_map(self._r_key, x)
 
-    def delta(self, x: Vector) -> LinComb:
-        return linear_map(self._coproduct(), _sparse(x))
+    def delta(self, x: LinComb) -> LinComb:
+        return linear_map(self._coproduct(), x)
 
-    def coderivation_residual(self, x: Vector) -> LinComb:
+    def coderivation_residual(self, x: LinComb) -> LinComb:
         """Δ(R(x)) − (R⊗id + id⊗R)(Δ(x)); zero when R is a coderivation."""
-        return coderivation_law(self._coproduct(), self._r_key, _sparse(x))
+        return coderivation_law(self._coproduct(), self._r_key, x)
 
-    def mult_residual(self, x: Vector, y: Vector) -> LinComb:
+    def mult_residual(self, x: LinComb, y: LinComb) -> LinComb:
         """Δ(x·y) − Δ(x)·Δ(y) with the componentwise tensor-square product."""
         square = _formal_square(tensor_square_dot, self._dot_key)
-        return multiplicativity_law(
-            self._coproduct(), functools.partial(bilinear, self._dot_key), square, _sparse(x), _sparse(y)
-        )
+        return multiplicativity_law(self._coproduct(), self.dot, square, x, y)
 
-    def bimatching_residual(self, x: Vector, y: Vector) -> LinComb:
+    def bimatching_residual(self, x: LinComb, y: LinComb) -> LinComb:
         """Δ(x∘y) − Δ(x)∗Δ(y) with the two-term tensor-square product."""
         square = _formal_square(tensor_square_star, self._dot_key, self._circ_key)
-        return multiplicativity_law(
-            self._coproduct(), functools.partial(bilinear, self._circ_key), square, _sparse(x), _sparse(y)
-        )
+        return multiplicativity_law(self._coproduct(), self.circ, square, x, y)
 
 
 def truncated_polynomial_algebra(m: int) -> SemiHomAlgebra:
@@ -406,5 +400,5 @@ def left_multiplication_semihom(dot_table, a_coords) -> SemiHomAlgebra:
     dim = len(dot_table)
     probe = SemiHomAlgebra(dot_table, [[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
     a = probe.vector(a_coords)
-    r_matrix = [probe.dot(a, probe.basis(i)) for i in range(dim)]
+    r_matrix = [_dense(probe.dot(a, probe.basis(i)), dim) for i in range(dim)]
     return SemiHomAlgebra(dot_table, r_matrix)

@@ -28,7 +28,7 @@ from .linear import (
     tensor,
 )
 from .trees import Tree, catalan, enumerate_trees
-from .algebra import FinAlgebra, circle, dot, evaluate, lie_bracket, star
+from .algebra import circle, dot, evaluate, lie_bracket, star
 from . import infinitesimal as inf
 from . import matching as mat
 from . import paths as pth
@@ -172,8 +172,8 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED, random_triples: 
     checks.append(Check("lie-brackets", sum(bad) == 0,
                         "antisymmetry + Jacobi, 60 triples x 3 brackets"))
 
-    target = _poly_fin_algebra(6)
-    assign = {"a": target.vector([0, 1, 0, 0, 0, 0]), "b": target.vector([1, 0, 1, 0, 0, 0])}
+    target = mat.truncated_polynomial_algebra(6)  # x∘y = x·X·y
+    assign = {"a": [0, 1, 0, 0, 0, 0], "b": [1, 0, 1, 0, 0, 0]}
     ev = partial(evaluate, target, assign)
     pairs = (_random_trees(rng, pool2, 2, 5) for _ in range(60))
     _, bad = _sweep(
@@ -184,17 +184,6 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED, random_triples: 
     checks.append(Check("evaluate-homomorphism", sum(bad) == 0,
                         "both products, 60 pairs into a validated target"))
     return checks
-
-
-def _poly_fin_algebra(m: int) -> FinAlgebra:
-    """Truncated polynomials with x∘y = x·X·y; a compatible pair of products."""
-    dot_table = [
-        [[1 if k == i + j else 0 for k in range(m)] for j in range(m)] for i in range(m)
-    ]
-    circ_table = [
-        [[1 if k == i + j + 1 else 0 for k in range(m)] for j in range(m)] for i in range(m)
-    ]
-    return FinAlgebra(dot_table, circ_table)
 
 
 # --------------------------------------------------------------------------
@@ -499,7 +488,7 @@ def _semihom_checks(rng) -> list[Check]:
                         f"Δ(x∘y) = Δ(x)∗Δ(y) and Δ(x·y) = Δ(x)·Δ(y) on {n_pairs} truncation-safe basis pairs"))
 
     triples = (
-        [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(3)] for _ in range(30)
+        [A.vector([rng.randint(-2, 2) for _ in range(m)]) for _ in range(3)] for _ in range(30)
     )
     _, bad = _sweep(
         triples, partial(matching_fails, A.dot, A.circ), partial(associativity_fails, A.circ)
@@ -511,7 +500,7 @@ def _semihom_checks(rng) -> list[Check]:
     dot_table = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
     B = mat.left_multiplication_semihom(dot_table, [1, 1])
     a = B.r(B.basis(0))
-    pairs = ([tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(2)] for _ in range(20))
+    pairs = ([B.vector([rng.randint(-2, 2) for _ in range(2)]) for _ in range(2)] for _ in range(20))
     _, (bad,) = _sweep(pairs, lambda x, y: B.circ(x, y) != B.dot(x, B.dot(a, y)))
     checks.append(Check("left-multiplication-semihom", bad == 0,
                         "R(x) = a·x induces x∘y = x·a·y"))
@@ -545,17 +534,23 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
     interiors = [()]
     for k in range(1, 3):
         interiors.extend(itertools.product(S, repeat=k))
+    # on bare keys: a chained product is never None
     triples = (
-        _terms(pth.Path((a,) + i1 + (b,)), pth.Path((b,) + i2 + (c,)), pth.Path((c,) + i3 + (d,)))
+        (pth.Path((a,) + i1 + (b,)), pth.Path((b,) + i2 + (c,)), pth.Path((c,) + i3 + (d,)))
         for a, b, c, d in itertools.product(S, repeat=4)
         for i1, i2, i3 in itertools.product(interiors, repeat=3)
     )
-    path_laws = (
-        partial(associativity_fails, mul),
-        partial(associativity_fails, circ),
-        partial(matching_fails, mul, circ),
+
+    def laws(mul, circ):
+        return (
+            partial(associativity_fails, mul),
+            partial(associativity_fails, circ),
+            partial(matching_fails, mul, circ),
+        )
+
+    n_triples, (mul_bad, circ_bad, match_bad) = _sweep(
+        triples, *laws(pth._mul_paths, pth._circ_paths)
     )
-    n_triples, (mul_bad, circ_bad, match_bad) = _sweep(triples, *path_laws)
     checks.append(Check("path-associativity-exhaustive", mul_bad + circ_bad == 0,
                         f"both products on {n_triples} chained basis triples, interior <= 2"))
     checks.append(Check("path-matching-laws-exhaustive", match_bad == 0,
@@ -568,7 +563,7 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
         return x
 
     triples = ([random_path_element() for _ in range(3)] for _ in range(120))
-    _, bad = _sweep(triples, *path_laws)
+    _, bad = _sweep(triples, *laws(mul, circ))
     checks.append(Check("path-laws-random-lincombs", sum(bad) == 0,
                         f"120 random linear-combination triples, interior <= {max_interior}"))
 
@@ -634,14 +629,21 @@ SUITES = {
 }
 
 
+# the suites whose exhaustive bounds ``max_degree`` rescales
+_DEGREE_SUITES = {"axioms", "coalgebra", "matching", "nalgebra"}
+
+
 def run_suites(names, max_degree: int | None = None, seed: int = DEFAULT_SEED) -> list[Check]:
     """Run the named suites; ``max_degree`` rescales the exhaustive bounds.
 
     Below 3 some exhaustive checks would run on no input at all and pass, so
-    a smaller ``max_degree`` is refused before any suite runs.
+    a smaller ``max_degree`` is refused before any suite runs; so is a
+    ``max_degree`` that none of the named suites takes.
     """
     if max_degree is not None and max_degree < 3:
         raise ValueError(f"max degree must be at least 3, got {max_degree}")
+    if max_degree is not None and _DEGREE_SUITES.isdisjoint(names):
+        raise ValueError(f"max degree does not apply to suite {', '.join(names)}")
     checks = []
     for name in names:
         fn = SUITES[name]

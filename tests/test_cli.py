@@ -152,3 +152,9 @@ def test_byte_stable_output(capsys):
     first = run(capsys, "verify", "--suite", "coalgebra", "--max-degree", "3", "--seed", "11")
     second = run(capsys, "verify", "--suite", "coalgebra", "--max-degree", "3", "--seed", "11")
     assert first == second
+
+
+def test_verify_refuses_max_degree_no_suite_takes(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "path", "--max-degree", "3")
+    assert (code, out) == (1, "")
+    assert "max degree does not apply to suite path" in err

@@ -34,6 +34,7 @@ CASES = {
     "path-circ-zero-json": ["path", "circ", "--points", "a,b", "p[a,b]", "p[a,b]", "--json"],
     "path-coproduct": ["path", "coproduct", "--points", "a,b,x,y", "p[a,x,y,b]"],
     "dims": ["dims", "--max", "8", "--colors", "2"],
+    "dims-16-3-json": ["dims", "--max", "16", "--colors", "3", "--json"],
     "verify-coalgebra-json": [
         "verify", "--suite", "coalgebra", "--max-degree", "3", "--seed", "7", "--json",
     ],

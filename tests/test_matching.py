@@ -326,7 +326,7 @@ def test_polynomial_matching_laws():
     rng = random.Random(24)
     for _ in range(20):
         x, y, z = (
-            tuple(Fraction(rng.randint(-2, 2)) for _ in range(6)) for _ in range(3)
+            A.vector([Fraction(rng.randint(-2, 2)) for _ in range(6)]) for _ in range(3)
         )
         assert A.circ(A.dot(x, y), z) == A.dot(x, A.circ(y, z))
         assert A.dot(A.circ(x, y), z) == A.circ(x, A.dot(y, z))
@@ -394,8 +394,8 @@ def test_left_multiplication_semihom():
     assert a == B.vector([1, 1])
     rng = random.Random(25)
     for _ in range(15):
-        x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(2))
-        y = tuple(Fraction(rng.randint(-3, 3)) for _ in range(2))
+        x = B.vector([Fraction(rng.randint(-3, 3)) for _ in range(2)])
+        y = B.vector([Fraction(rng.randint(-3, 3)) for _ in range(2)])
         assert B.circ(x, y) == B.dot(x, B.dot(a, y))
         assert B.r(B.dot(x, y)) == B.dot(B.r(x), y)
 

@@ -173,3 +173,13 @@ def test_path_suite_fails_on_nonzero_dot_and_bimatching_residuals(monkeypatch):
     checks = {c.name: c for c in verify.suite_path(points=("a",), max_interior=1)}
     assert not checks["path-mult-diagnostic-dot"].ok
     assert not checks["path-bimatching-diagnostic"].ok
+
+
+def test_path_exhaustive_sweeps_fail_on_non_associative_circ(monkeypatch):
+    from cab import paths, verify
+
+    # keeps the chain (first point of p, last point of q) but not associativity
+    monkeypatch.setattr(paths, "_circ_paths", lambda p, q: Path(p.points[:1] + q.points))
+    checks = {c.name: c for c in verify.suite_path(points=("a", "b"), max_interior=1)}
+    assert not checks["path-associativity-exhaustive"].ok
+    assert not checks["path-matching-laws-exhaustive"].ok
