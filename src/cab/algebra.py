@@ -67,8 +67,8 @@ def circle_trees(t: Tree, w: Tree) -> LinComb:
     """Circle product of basis trees, by recursion on the right factor.
 
     Degree 1: hang t below a new vertex carrying w's color.  Irreducible
-    w = u∘a: t∘w = (t∘u)∘a.  Reducible w = w1·...·wm: the signed double sum
-    over the maximal factorization.
+    w = u∘a: t∘w = (t∘u)∘a.  Reducible w = w'·w'', w' its first factor: the
+    compatibility identity solved for t∘w.
     """
     key = (t, w)
     cached = _CIRCLE_CACHE.get(key)
@@ -81,20 +81,14 @@ def circle_trees(t: Tree, w: Tree) -> LinComb:
         u, a = unwrap_root(w)
         result = circle(circle_trees(t, u), LinComb.term(leaf(a)))
     else:
-        # Σ_i (t·w1…w_{i-1})∘w_i · w_{i+1}…w_m − Σ_{i>1} t·((w1…w_{i-1})∘w_i) · w_{i+1}…w_m
-        factors = factorize(w)
-        m = len(factors)
-        pairs = []
-        for i in range(m):
-            pieces = [(circle_trees(reduce(root_concat, factors[:i], t), factors[i]), 1)]
-            if i:
-                head = reduce(root_concat, factors[:i])
-                pieces.append((dot(LinComb.term(t), circle_trees(head, factors[i])), -1))
-            if i + 1 < m:
-                tail = LinComb.term(reduce(root_concat, factors[i + 1 :]))
-                pieces = [(dot(piece, tail), sign) for piece, sign in pieces]
-            pairs += pieces
-        result = LinComb.sum(pairs)
+        # w = w'·w'' (first factor against the rest), by the compatibility
+        # identity: t∘w = (t∘w')·w'' + (t·w')∘w'' − t·(w'∘w'')
+        w1, w2 = Tree(w.children[:1]), Tree(w.children[1:])
+        result = LinComb.sum([
+            (dot(circle_trees(t, w1), LinComb.term(w2)), 1),
+            (circle_trees(root_concat(t, w1), w2), 1),
+            (dot(LinComb.term(t), circle_trees(w1, w2)), -1),
+        ])
 
     _CIRCLE_CACHE[key] = result
     return result

@@ -17,7 +17,8 @@ The n-ary operations
     N_n(x₁,...,xₙ) = (x₁·...·x_{n-1})∘xₙ − x₁·((x₂·...·x_{n-1})∘xₙ)
 
 close on primitives and satisfy the arity-mixing relations checked by
-``n_relation_residual`` and ``n_aux_residual``.
+``n_relation_residual`` (every one an instance of R3(n, r)) and
+``n_aux_residual``.
 """
 
 from __future__ import annotations
@@ -190,84 +191,70 @@ def n_op(n: int, xs: Sequence[LinComb]) -> LinComb:
     if n == 2:
         x, y = xs
         return circle(x, y) - dot(x, y)
-    head = reduce(dot, xs[: n - 1])
-    inner = reduce(dot, xs[1 : n - 1])
-    return circle(head, xs[n - 1]) - dot(xs[0], circle(inner, xs[n - 1]))
+    middle = reduce(dot, xs[1 : n - 1])
+    return circle(dot(xs[0], middle), xs[n - 1]) - dot(xs[0], circle(middle, xs[n - 1]))
+
+
+# every relation is R3(n, r): (name, number of parameters) -> (n, r) from them
+_RELATION_SHAPES = {
+    ("R1", 1): lambda n: (n, 2),
+    ("R2", 1): lambda n: (2, n),
+    ("R3", 2): lambda n, r: (n, r),
+    ("low2", 0): lambda: (3, 2),
+    ("low3", 0): lambda: (2, 3),
+    ("low4", 0): lambda: (3, 3),
+}
+
+
+def _relation_shape(rel) -> tuple[int, int]:
+    """The (n, r) for which ``rel`` is the relation R3(n, r)."""
+    parts = (rel,) if isinstance(rel, str) else rel
+    make = None
+    if isinstance(parts, (tuple, list)) and parts:
+        make = _RELATION_SHAPES.get((parts[0], len(parts) - 1))
+    shape = make(*parts[1:]) if make else None
+    if shape is None or not all(isinstance(k, int) and k >= 2 for k in shape):
+        raise ValueError(f"unknown relation {rel!r}")
+    return shape
 
 
 def n_relation_arity(rel) -> int:
-    """Number of arguments the relation ``rel`` takes."""
-    if rel in ("low2", "low3"):
-        return 4
-    if rel == "low4":
-        return 5
-    kind = rel[0]
-    if kind == "R1":
-        return rel[1] + 1
-    if kind == "R2":
-        return rel[1] + 1
-    if kind == "R3":
-        return rel[1] + rel[2] - 1
-    raise ValueError(f"unknown relation {rel!r}")
+    """Number of arguments the relation ``rel`` takes: n + r − 1 for R3(n, r)."""
+    n, r = _relation_shape(rel)
+    return n + r - 1
 
 
 def n_relation_residual(rel, xs: Sequence[LinComb]) -> LinComb:
     """LHS − RHS of a defining relation of the primitive operations.
 
-    ``rel`` is one of ("R1", n) for n >= 2, ("R2", n) for n >= 3,
-    ("R3", n, r) for n, r >= 3, or the literal low-degree relations
-    "low2", "low3", "low4".  Always zero in the tree algebra.
+    ``rel`` is ("R3", n, r) for n, r >= 2, or one of its instances:
+    ("R1", n) is R3(n, 2), ("R2", n) is R3(2, n), and the literal low-degree
+    relations "low2", "low3", "low4" are R3(3, 2), R3(2, 3), R3(3, 3).
+    Always zero in the tree algebra.
     """
-    if len(xs) != n_relation_arity(rel):
-        raise ValueError(f"relation {rel!r} takes {n_relation_arity(rel)} arguments")
+    n, r = _relation_shape(rel)
+    if len(xs) != n + r - 1:
+        raise ValueError(f"relation {rel!r} takes {n + r - 1} arguments")
     xs = list(xs)
     N = lambda args: n_op(len(args), args)
 
-    if rel == "low2":
-        x, y, z, t = xs
-        return N([x, y, N([z, t])]) - N([N([x, y, z]), t]) - N([x, N([y, z]), t])
-    if rel == "low3":
-        x, y, z, t = xs
-        return N([x, N([y, z, t])]) - N([N([x, y]), z, t]) + N([x, N([y, z]), t])
-    if rel == "low4":
-        x, y, z, t, w = xs
-        return (
-            N([x, y, N([z, t, w])])
-            - N([N([x, y, z]), t, w])
-            - N([x, N([y, z]), t, w])
-            + N([x, y, N([z, t]), w])
-        )
+    # argument layout: x, y₁..y_{n-2}, z, t₁..t_{r-2}, w
+    z = xs[n - 1]
+    ts = xs[n : n + r - 2]
+    w = xs[n + r - 2]
+    lhs = N(xs[: n - 1] + [N([z] + ts + [w])])
+    rhs = [(N([N(xs[:n])] + ts + [w]), 1)]
+    for i in range(1, n - 1):
+        inner = N(xs[i:n])
+        rhs.append((N([xs[0]] + xs[1:i] + [inner] + ts + [w]), 1))
+    for i in range(1, r - 1):
+        inner = N([z] + ts[:i])
+        rhs.append((N(xs[: n - 1] + [inner] + ts[i:] + [w]), -1))
+    return lhs - LinComb.sum(rhs)
 
-    kind = rel[0]
-    if kind == "R1":
-        n = rel[1]
-        lhs = N(xs[: n - 1] + [N(xs[n - 1 : n + 1])])
-        rhs = [(N(xs[: i - 1] + [N(xs[i - 1 : n])] + [xs[n]]), 1) for i in range(1, n)]
-        return lhs - LinComb.sum(rhs)
-    if kind == "R2":
-        n = rel[1]
-        lhs = N([xs[0], N(xs[1 : n + 1])])
-        rhs = [(N([N(xs[0:2])] + xs[2 : n + 1]), 1)]
-        for i in range(3, n + 1):
-            inner = N(xs[1 : n + 3 - i])
-            rhs.append((N([xs[0], inner] + xs[n + 3 - i : n + 1]), -1))
-        return lhs - LinComb.sum(rhs)
-    if kind == "R3":
-        n, r = rel[1], rel[2]
-        # argument layout: x, y₁..y_{n-2}, z, t₁..t_{r-2}, w
-        z = xs[n - 1]
-        ts = xs[n : n + r - 2]
-        w = xs[n + r - 2]
-        lhs = N(xs[: n - 1] + [N([z] + ts + [w])])
-        rhs = [(N([N(xs[:n])] + ts + [w]), 1)]
-        for i in range(1, n - 1):
-            inner = N(xs[i:n])
-            rhs.append((N([xs[0]] + xs[1:i] + [inner] + ts + [w]), 1))
-        for i in range(1, r - 1):
-            inner = N([z] + ts[:i])
-            rhs.append((N(xs[: n - 1] + [inner] + ts[i:] + [w]), -1))
-        return lhs - LinComb.sum(rhs)
-    raise ValueError(f"unknown relation {rel!r}")
+
+# lemma_i and lemma_ii are ind_i and ind_ii on three arguments
+_LEMMAS = {"lemma_i": "ind_i", "lemma_ii": "ind_ii"}
 
 
 def n_aux_residual(name, xs: Sequence[LinComb]) -> LinComb:
@@ -279,16 +266,14 @@ def n_aux_residual(name, xs: Sequence[LinComb]) -> LinComb:
     ind_ii:   N₂(x₁, x₂·...·xₙ) = Σ_j N_{n-j}(x₁,...,x_{n-j}) · x_{n-j+1}·...·xₙ
     """
     xs = list(xs)
-    N = lambda args: n_op(len(args), args)
-    if name == "lemma_i":
-        x, y, z = xs
-        return N([dot(x, y), z]) - N([x, y, z]) - dot(x, N([y, z]))
-    if name == "lemma_ii":
-        x, y, z = xs
-        return N([x, dot(y, z)]) - N([x, y, z]) - dot(N([x, y]), z)
     n = len(xs)
+    if name in _LEMMAS:
+        if n != 3:
+            raise ValueError(f"{name} takes 3 arguments, got {n}")
+        name = _LEMMAS[name]
     if n < 2:
         raise ValueError("ind_* need at least two arguments")
+    N = lambda args: n_op(len(args), args)
     if name == "ind_i":
         lhs = N([reduce(dot, xs[: n - 1]), xs[n - 1]])
         rhs = []

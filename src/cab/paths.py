@@ -121,7 +121,13 @@ def path_R(x: LinComb) -> LinComb:
     return linear_map(_r_path, x)
 
 
+_COPRODUCT_PATH_CACHE: dict = {}
+
+
 def _coproduct_path(p: Path) -> LinComb:
+    cached = _COPRODUCT_PATH_CACHE.get(p)
+    if cached is not None:
+        return cached
     a, b = p.points[0], p.points[-1]
     interior = p.points[1:-1]
     n = len(interior)
@@ -132,7 +138,9 @@ def _coproduct_path(p: Path) -> LinComb:
             left = (a,) + tuple(interior[i] for i in chosen) + (b,)
             right = (a,) + tuple(interior[i] for i in range(n) if i not in chosen_set) + (b,)
             out.append((Tensor(Path(left), Path(right)), 1))
-    return LinComb(out)
+    result = LinComb(out)
+    _COPRODUCT_PATH_CACHE[p] = result
+    return result
 
 
 def path_coproduct(x: LinComb) -> LinComb:

@@ -93,26 +93,21 @@ class Tree(_Key):
     Two trees are equal exactly when their nested ``children`` tuples are,
     and the hash is that of the tuple.  The canonical text is rendered on
     demand; it alone does not decide equality, because a color holding ','
-    or '(' would render like a different tree.  ``degree`` is counted the
-    first time it is read, unless ``root_concat`` or ``wrap_root`` already
-    passed it on.
+    or '(' would render like a different tree.  ``degree`` counts the
+    vertices each time it is read.
     """
 
-    __slots__ = ("children", "_degree")
+    __slots__ = ("children",)
 
     def __init__(self, children: tuple):
         if not children:
             raise ValueError("a tree needs at least one non-root vertex")
         self.children = children
         self._hash = hash(children)
-        self._degree = None
 
     @property
     def degree(self) -> int:
-        degree = self._degree
-        if degree is None:
-            degree = self._degree = _forest_degree(self.children)
-        return degree
+        return _forest_degree(self.children)
 
     def _render(self) -> str:
         return "(" + ",".join(_render_vertex(v) for v in self.children) + ")"
@@ -205,10 +200,7 @@ def render_tree(t: Tree) -> str:
 
 def root_concat(t: Tree, w: Tree) -> Tree:
     """Identify the roots of t and w (children of t before children of w)."""
-    out = Tree(t.children + w.children)
-    if t._degree and w._degree:
-        out._degree = t._degree + w._degree
-    return out
+    return Tree(t.children + w.children)
 
 
 def factorize(t: Tree) -> tuple[Tree, ...]:
@@ -226,10 +218,7 @@ def is_irreducible(t: Tree) -> bool:
 
 def wrap_root(t: Tree, color: str) -> Tree:
     """Hang the whole forest of t below a new vertex carrying ``color``."""
-    out = Tree(((color, t.children),))
-    if t._degree:
-        out._degree = t._degree + 1
-    return out
+    return Tree(((color, t.children),))
 
 
 def unwrap_root(t: Tree) -> tuple[Tree, str]:

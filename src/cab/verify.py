@@ -306,8 +306,9 @@ def _relation_inputs(rng, prims, specs, gens, n_random):
             yield name, _random_primitive_tuple(rng, prims, arity)
 
 
-def suite_nalgebra(max_n: int = 6, seed: int = DEFAULT_SEED, random_tuples: int = 100):
+def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED, random_tuples: int = 100):
     checks = []
+    max_n = min(max_degree, 6)
     rng = random.Random(seed)
     gens = [LinComb.term(t) for t in enumerate_trees(1, ["a", "b"])]
     prims = {n: inf.primitive_basis(n, ["a", "b"]) for n in (1, 2)}
@@ -648,10 +649,7 @@ def run_suites(names, max_degree: int | None = None, seed: int = DEFAULT_SEED) -
     for name in names:
         fn = SUITES[name]
         kwargs = {"seed": seed}
-        if max_degree is not None:
-            if name in ("axioms", "coalgebra", "matching"):
-                kwargs["max_degree"] = max_degree
-            elif name == "nalgebra":
-                kwargs["max_n"] = min(max_degree, 6)
+        if max_degree is not None and name in _DEGREE_SUITES:
+            kwargs["max_degree"] = max_degree
         checks.extend(fn(**kwargs))
     return checks

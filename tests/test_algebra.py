@@ -3,12 +3,22 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from cab.linear import LinComb
-from cab.algebra import FinAlgebra, circle, dot, elem, evaluate, lie_bracket, star
-from cab.trees import enumerate_trees, parse_tree
+from cab.linear import LinComb, linear_map
+from cab.algebra import FinAlgebra, circle, circle_trees, dot, elem, evaluate, lie_bracket, star
+from cab.trees import (
+    enumerate_trees,
+    factorize,
+    is_irreducible,
+    leaf,
+    parse_tree,
+    root_concat,
+    unwrap_root,
+    wrap_root,
+)
 
 
 def basis(text):
@@ -59,6 +69,48 @@ def test_compatibility_identity_exhaustive_small():
         lhs = circle(x, dot(y, z)) + dot(x, circle(y, z))
         rhs = dot(circle(x, y), z) + circle(dot(x, y), z)
         assert lhs == rhs
+
+
+def _circle_double_sum(t, w, memo):
+    """t∘w with the reducible case as the signed double sum over the maximal
+    factorization w = w1·...·wm:
+
+        Σ_i (t·w1…w_{i-1})∘w_i · w_{i+1}…w_m − Σ_{i>1} t·((w1…w_{i-1})∘w_i) · w_{i+1}…w_m
+    """
+    key = (t, w)
+    if key in memo:
+        return memo[key]
+    if len(w.children) == 1 and not w.children[0][1]:
+        result = LinComb.term(wrap_root(t, w.children[0][0]))
+    elif is_irreducible(w):
+        u, a = unwrap_root(w)
+        inner = _circle_double_sum(t, u, memo)
+        result = linear_map(lambda k: _circle_double_sum(k, leaf(a), memo), inner)
+    else:
+        factors = factorize(w)
+        m = len(factors)
+        pairs = []
+        for i in range(m):
+            pieces = [(_circle_double_sum(reduce(root_concat, factors[:i], t), factors[i], memo), 1)]
+            if i:
+                head = reduce(root_concat, factors[:i])
+                pieces.append((dot(LinComb.term(t), _circle_double_sum(head, factors[i], memo)), -1))
+            if i + 1 < m:
+                tail = LinComb.term(reduce(root_concat, factors[i + 1 :]))
+                pieces = [(dot(piece, tail), sign) for piece, sign in pieces]
+            pairs += pieces
+        result = LinComb.sum(pairs)
+    memo[key] = result
+    return result
+
+
+def test_circle_matches_double_sum_over_factorization():
+    pool = {n: enumerate_trees(n, ["a", "b"]) for n in range(1, 6)}
+    memo = {}
+    for m in range(1, 5):
+        for n in range(1, 7 - m):
+            for t, w in itertools.product(pool[m], pool[n]):
+                assert circle_trees(t, w) == _circle_double_sum(t, w, memo), (t, w)
 
 
 def test_star_weights():

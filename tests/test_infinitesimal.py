@@ -1,11 +1,13 @@
 """Coproduct, projector, n-ary operations, relations, dimensions."""
 
 import itertools
+import math
 import random
 
 import pytest
 
-from cab.linear import LinComb, Tensor, rank, tensor
+from cab import infinitesimal
+from cab.linear import LinComb, Tensor, bilinear_keys, rank, tensor
 from cab.algebra import circle, dot
 from cab.infinitesimal import (
     coassociativity_residual,
@@ -179,18 +181,73 @@ def test_relations_on_primitive_arguments():
 def test_relation_arity_mismatch():
     with pytest.raises(ValueError):
         n_relation_residual("low2", GENS[:3])
+    with pytest.raises(ValueError):
+        n_aux_residual("lemma_i", GENS[:2] * 2)
+    malformed = [("R3", 3), ("R1",), ("R2", 3, 3), ("R4", 3), "low5", ("R1", 1), ("R2", 0),
+                 ("R3", 1, 3), ("R3", 3, 1)]
+    for rel in malformed:
+        with pytest.raises(ValueError):
+            n_relation_arity(rel)
+        with pytest.raises(ValueError):
+            n_relation_residual(rel, GENS[:3])
 
 
-def test_low_degree_relations_match_general_forms():
-    # low2 is R1(3), low3 is R2(3), low4 is R3(3,3) on the same arguments
-    rng = random.Random(14)
-    pool = [LinComb.term(t) for t in enumerate_trees(1, ["a", "b"])]
-    for _ in range(5):
-        xs4 = [rng.choice(pool) for _ in range(4)]
-        xs5 = [rng.choice(pool) for _ in range(5)]
-        assert n_relation_residual("low2", xs4) == n_relation_residual(("R1", 3), xs4)
-        assert n_relation_residual("low3", xs4) == n_relation_residual(("R2", 3), xs4)
-        assert n_relation_residual("low4", xs5) == n_relation_residual(("R3", 3, 3), xs5)
+def _free_n_op(n, xs):
+    """N_n as a free symbol: basis keys k₁..kₙ go to the key ("N", k₁, ..., kₙ)."""
+    assert len(xs) == n
+    return LinComb(
+        (("N", *(k for k, _ in terms)), math.prod(c for _, c in terms))
+        for terms in itertools.product(*(x.items() for x in xs))
+    )
+
+
+def _free_dot(x, y):
+    return bilinear_keys(lambda a, b: ("dot", a, b), x, y)
+
+
+def _N(*args):
+    return ("N", *args)
+
+
+def _D(a, b):
+    return ("dot", a, b)
+
+
+X, Y, Z, T, W = "xyztw"
+LOW2 = [(_N(X, Y, _N(Z, T)), 1), (_N(_N(X, Y, Z), T), -1), (_N(X, _N(Y, Z), T), -1)]
+LOW3 = [(_N(X, _N(Y, Z, T)), 1), (_N(_N(X, Y), Z, T), -1), (_N(X, _N(Y, Z), T), 1)]
+# the relations as the paper writes them, each residual LHS − RHS
+FORMAL_RELATIONS = [
+    ("low2", LOW2),
+    ("low3", LOW3),
+    ("low4", [(_N(X, Y, _N(Z, T, W)), 1), (_N(_N(X, Y, Z), T, W), -1),
+              (_N(X, _N(Y, Z), T, W), -1), (_N(X, Y, _N(Z, T), W), 1)]),
+    (("R1", 2), [(_N(X, _N(Y, Z)), 1), (_N(_N(X, Y), Z), -1)]),
+    (("R1", 3), LOW2),
+    (("R2", 3), LOW3),
+    (("R2", 4), [(_N(X, _N(Y, Z, T, W)), 1), (_N(_N(X, Y), Z, T, W), -1),
+                 (_N(X, _N(Y, Z, T), W), 1), (_N(X, _N(Y, Z), T, W), 1)]),
+]
+FORMAL_LEMMAS = [
+    ("lemma_i", [(_N(_D(X, Y), Z), 1), (_N(X, Y, Z), -1), (_D(X, _N(Y, Z)), -1)]),
+    ("lemma_ii", [(_N(X, _D(Y, Z)), 1), (_N(X, Y, Z), -1), (_D(_N(X, Y), Z), -1)]),
+]
+
+
+def test_relations_are_the_stated_expressions(monkeypatch):
+    # with N and the dot product as free symbols each residual must be the
+    # relation itself, not merely some expression that vanishes on trees
+    monkeypatch.setattr(infinitesimal, "n_op", _free_n_op)
+    monkeypatch.setattr(infinitesimal, "dot", _free_dot)
+    symbols = [LinComb.term(s) for s in (X, Y, Z, T, W)]
+    for rel, expected in FORMAL_RELATIONS:
+        got = n_relation_residual(rel, symbols[: n_relation_arity(rel)])
+        assert not got.is_zero, rel
+        assert got == LinComb(expected), rel
+    for name, expected in FORMAL_LEMMAS:
+        got = n_aux_residual(name, symbols[:3])
+        assert not got.is_zero, name
+        assert got == LinComb(expected), name
 
 
 @pytest.mark.parametrize("name,arity", [("lemma_i", 3), ("lemma_ii", 3)])
