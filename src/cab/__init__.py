@@ -19,7 +19,6 @@ from .trees import (
     factorize,
     leaf,
     parse_tree,
-    render_tree,
 )
 from .algebra import FinAlgebra, circle, dot, elem, evaluate, lie_bracket, star
 from .infinitesimal import (

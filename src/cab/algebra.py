@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .linear import (
     LinComb,
@@ -99,15 +99,9 @@ def star(x: LinComb, y: LinComb, alpha: Scalar = 1, beta: Scalar = 1) -> LinComb
     return dot(x, y) * alpha + circle(x, y) * beta
 
 
-def lie_bracket(kind: str, x: LinComb, y: LinComb) -> LinComb:
-    """Commutator of dot, circle, or their sum; all three are Lie brackets."""
-    if kind == "dot":
-        return dot(x, y) - dot(y, x)
-    if kind == "circle":
-        return circle(x, y) - circle(y, x)
-    if kind == "sum":
-        return star(x, y) - star(y, x)
-    raise ValueError(f"unknown bracket kind {kind!r}")
+def lie_bracket(mul: Callable, x: LinComb, y: LinComb) -> LinComb:
+    """mul(x, y) − mul(y, x); a Lie bracket for dot, circle and star."""
+    return mul(x, y) - mul(y, x)
 
 
 def _as_vector(coords: Sequence[Scalar], dim: int) -> tuple:

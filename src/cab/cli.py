@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .linear import LinComb, to_records
-from .trees import TreeSyntaxError, check_palette, enumerate_trees, parse_tree
+from .trees import check_palette, enumerate_trees, parse_tree
 from .algebra import circle, dot, star
 from .infinitesimal import (
     coproduct,
@@ -135,7 +135,7 @@ def _parse_op(name: str):
             raise UsageError("star takes two coefficients, e.g. star:1,1 or star:-1,1")
         try:
             alpha, beta = Fraction(parts[0]), Fraction(parts[1])
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad star coefficients: {exc}") from exc
         return lambda x, y: star(x, y, alpha, beta)
     raise UsageError(f"unknown op {name!r}; use dot, circle, or star:A,B")
@@ -289,10 +289,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TreeSyntaxError, ValueError, KeyError) as exc:
+    except (UsageError, ValueError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

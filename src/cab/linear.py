@@ -124,9 +124,6 @@ class LinComb:
     def sorted_items(self) -> list:
         return sorted(self._terms.items(), key=lambda kv: str(kv[0]))
 
-    def support(self):
-        return self._terms.keys()
-
     def coeff(self, key) -> Scalar:
         """The coefficient of ``key``: an ``int`` or a ``Fraction``, 0 if absent."""
         return self._terms.get(key, 0)

@@ -23,7 +23,6 @@ shared laws of ``linear`` on index keys.
 from __future__ import annotations
 
 import itertools
-import re
 from typing import Callable, Sequence
 
 from .algebra import FinAlgebra, _as_table, _as_vector, _dense, _sparse
@@ -74,15 +73,13 @@ class Word(_Key):
         return f"Word<{self.text}>"
 
 
-def parse_word(text: str, palette: Sequence[str] | None = None) -> Word:
+def parse_word(text: str) -> Word:
     blocks = []
     for chunk in text.split("|"):
         letters = chunk.split(".")
         for letter in letters:
             if not COLOR_RE.fullmatch(letter):
                 raise ValueError(f"bad letter {letter!r} in word {text!r}")
-            if palette is not None and letter not in palette:
-                raise ValueError(f"letter {letter!r} not in palette")
         blocks.append(tuple(letters))
     return Word(blocks)
 
@@ -175,20 +172,6 @@ def word_coproduct(x: LinComb) -> LinComb:
 
 
 # --- one-color specialization: compositions of an integer -------------------
-
-
-def format_composition(c: Sequence[int]) -> str:
-    return "(" + ",".join(str(part) for part in c) + ")"
-
-
-def parse_composition(text: str) -> tuple[int, ...]:
-    m = re.match(r"\(([0-9, ]+)\)$", text.strip())
-    if not m:
-        raise ValueError(f"bad composition literal {text!r}; expected (2,1)")
-    parts = tuple(int(s) for s in m.group(1).split(","))
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError("composition parts must be positive")
-    return parts
 
 
 def comp_dot(c: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:

@@ -80,12 +80,6 @@ def parse_path(text: str, points: Sequence[str] | None = None) -> Path:
     return Path(symbols)
 
 
-def path_elem(p: Path | str) -> LinComb:
-    if isinstance(p, str):
-        p = parse_path(p)
-    return LinComb.term(p)
-
-
 def path_unit(points: Sequence[str]) -> LinComb:
     """e = Σ_i p[i,i]; the two-sided unit for the path product."""
     return LinComb((Path((s, s)), 1) for s in points)

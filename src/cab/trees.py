@@ -122,13 +122,16 @@ class Tree(_Key):
 
 
 def check_palette(colors: Sequence[str]) -> tuple[str, ...]:
-    """The palette as a tuple, rejecting an empty one or a malformed color."""
+    """The palette as a tuple, rejecting an empty one, a malformed color or a
+    repeated one."""
     palette = tuple(colors)
     if not palette:
         raise ValueError("palette must be nonempty")
-    for color in palette:
+    for i, color in enumerate(palette):
         if not isinstance(color, str) or not COLOR_RE.fullmatch(color):
             raise ValueError(f"bad color {color!r}; a color matches [A-Za-z0-9_]+")
+        if color in palette[:i]:
+            raise ValueError(f"repeated color {color!r}")
     return palette
 
 
@@ -137,15 +140,12 @@ def leaf(color: str) -> Tree:
     return Tree(((color, ()),))
 
 
-def parse_tree(text: str, palette: Sequence[str] | None = None) -> Tree:
-    """Parse tree text; inverse of ``render_tree`` on canonical forms.
-
-    With ``palette`` given, every color must belong to it.
-    """
+def parse_tree(text: str) -> Tree:
+    """Parse tree text; inverse of ``Tree.text`` on canonical forms."""
     pos = _skip_ws(text, 0)
     if pos >= len(text) or text[pos] != "(":
         raise TreeSyntaxError("expected '('", pos)
-    vertices, pos = _parse_forest(text, pos + 1, palette)
+    vertices, pos = _parse_forest(text, pos + 1)
     pos = _skip_ws(text, pos)
     if pos >= len(text) or text[pos] != ")":
         raise TreeSyntaxError("expected ')' or ','", pos)
@@ -161,13 +161,13 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_forest(text: str, pos: int, palette) -> tuple[tuple, int]:
+def _parse_forest(text: str, pos: int) -> tuple[tuple, int]:
     pos = _skip_ws(text, pos)
     if pos < len(text) and text[pos] == ")":
         raise TreeSyntaxError("empty forest", pos)
     vertices = []
     while True:
-        vertex, pos = _parse_vertex(text, pos, palette)
+        vertex, pos = _parse_vertex(text, pos)
         vertices.append(vertex)
         pos = _skip_ws(text, pos)
         if pos < len(text) and text[pos] == ",":
@@ -176,26 +176,20 @@ def _parse_forest(text: str, pos: int, palette) -> tuple[tuple, int]:
             return tuple(vertices), pos
 
 
-def _parse_vertex(text: str, pos: int, palette) -> tuple[Vertex, int]:
+def _parse_vertex(text: str, pos: int) -> tuple[Vertex, int]:
     m = COLOR_RE.match(text, pos)
     if not m:
         raise TreeSyntaxError("expected a color", pos)
     color = m.group()
-    if palette is not None and color not in palette:
-        raise TreeSyntaxError(f"color {color!r} not in palette", pos)
     pos = _skip_ws(text, m.end())
     kids: tuple = ()
     if pos < len(text) and text[pos] == "(":
-        kids, pos = _parse_forest(text, pos + 1, palette)
+        kids, pos = _parse_forest(text, pos + 1)
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != ")":
             raise TreeSyntaxError("expected ')' or ','", pos)
         pos += 1
     return (color, kids), pos
-
-
-def render_tree(t: Tree) -> str:
-    return t.text
 
 
 def root_concat(t: Tree, w: Tree) -> Tree:
@@ -252,18 +246,6 @@ def canonical_vertex_order(t: Tree) -> list[VertexId]:
 
     visit(t.children, ())
     return out
-
-
-def vertex_color(t: Tree, vid: VertexId) -> str:
-    vertices = t.children
-    color = None
-    for i in vid:
-        if i >= len(vertices):
-            raise KeyError(f"no vertex {vid} in {t}")
-        color, vertices = vertices[i]
-    if color is None:
-        raise KeyError("the root is not addressable")
-    return color
 
 
 def contract(t: Tree, ids: Iterable[VertexId]) -> Tree:

@@ -89,7 +89,7 @@ def _terms(*keys) -> tuple[LinComb, ...]:
 # axioms: the two products
 
 
-def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED, random_triples: int = 500):
+def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED):
     checks = []
     rng = random.Random(seed)
 
@@ -120,15 +120,15 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED, random_triples: 
 
     # the later sweeps draw degrees up to 5 whatever the exhaustive bound is
     pool2 = _tree_pool(max(5, max_degree + 1), ["a", "b"])
-    triples = (_random_trees(rng, pool2, 3, max_degree + 1) for _ in range(random_triples))
+    triples = (_random_trees(rng, pool2, 3, max_degree + 1) for _ in range(500))
     _, (assoc_bad, compat_bad) = _sweep(triples, circle_assoc, compat)
     checks.append(
         Check("circle-associativity-random", assoc_bad == 0,
-              f"{random_triples} colored triples (d=2), total degree <= {max_degree + 1}")
+              f"500 colored triples (d=2), total degree <= {max_degree + 1}")
     )
     checks.append(
         Check("compatibility-random", compat_bad == 0,
-              f"{random_triples} colored triples (d=2), total degree <= {max_degree + 1}")
+              f"500 colored triples (d=2), total degree <= {max_degree + 1}")
     )
 
     weight_pairs = [
@@ -159,16 +159,16 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED, random_triples: 
                         "degree additive, integer coefficients"))
 
     inputs = (
-        (kind, *xyz)
+        (mul, *xyz)
         for xyz in (_random_trees(rng, pool2, 3, 5) for _ in range(60))
-        for kind in ("dot", "circle", "sum")
+        for mul in (dot, circle, star)
     )
 
-    def jacobi(kind, x, y, z):
-        br = partial(lie_bracket, kind)
+    def jacobi(mul, x, y, z):
+        br = partial(lie_bracket, mul)
         return br(br(x, y), z) + br(br(y, z), x) + br(br(z, x), y)
 
-    _, bad = _sweep(inputs, lambda kind, x, y, z: lie_bracket(kind, x, x), jacobi)
+    _, bad = _sweep(inputs, lambda mul, x, y, z: lie_bracket(mul, x, x), jacobi)
     checks.append(Check("lie-brackets", sum(bad) == 0,
                         "antisymmetry + Jacobi, 60 triples x 3 brackets"))
 
@@ -306,7 +306,7 @@ def _relation_inputs(rng, prims, specs, gens, n_random):
             yield name, _random_primitive_tuple(rng, prims, arity)
 
 
-def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED, random_tuples: int = 100):
+def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED):
     checks = []
     max_n = min(max_degree, 6)
     rng = random.Random(seed)
@@ -315,14 +315,14 @@ def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED, random_tuples:
 
     relations = [("R1", n) for n in range(2, max_n + 1)] + ["low2", "low3", "low4"]
     specs = [(rel, inf.n_relation_arity(rel)) for rel in relations]
-    inputs = _relation_inputs(rng, prims, specs, gens, random_tuples)
+    inputs = _relation_inputs(rng, prims, specs, gens, 100)
     n_evals, (bad,) = _sweep(inputs, inf.n_relation_residual)
     checks.append(Check("relations-R1-and-low-degree", bad == 0,
                         f"R1(2..{max_n}) + low2..low4; {n_evals} evaluations"))
 
     relations = [("R2", 3), ("R2", 4), ("R2", 5), ("R3", 3, 3), ("R3", 3, 4), ("R3", 4, 3), ("R3", 4, 4)]
     specs = [(rel, inf.n_relation_arity(rel)) for rel in relations]
-    inputs = _relation_inputs(rng, prims, specs, gens[:1], max(10, random_tuples // 4))
+    inputs = _relation_inputs(rng, prims, specs, gens[:1], 25)
     n_evals, (bad,) = _sweep(inputs, inf.n_relation_residual)
     checks.append(Check("relations-R2-R3-reconstructed", bad == 0,
                         f"index-repaired general forms; {n_evals} evaluations"))
@@ -330,8 +330,8 @@ def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED, random_tuples:
     lemmas = [(name, 3) for name in ("lemma_i", "lemma_ii")]
     inductions = [(name, arity) for name in ("ind_i", "ind_ii") for arity in range(2, 6)]
     inputs = itertools.chain(
-        _relation_inputs(rng, prims, lemmas, gens, random_tuples),
-        _relation_inputs(rng, prims, inductions, gens, random_tuples // 2),
+        _relation_inputs(rng, prims, lemmas, gens, 100),
+        _relation_inputs(rng, prims, inductions, gens, 50),
     )
     n_evals, (bad,) = _sweep(inputs, inf.n_aux_residual)
     checks.append(Check("auxiliary-identities", bad == 0,

@@ -135,25 +135,20 @@ def test_star_associative_for_random_weights():
 
 def test_lie_brackets():
     a, b = basis("(a)"), basis("(b)")
-    assert lie_bracket("dot", a, a).is_zero
-    assert lie_bracket("dot", a, b) == basis("(a,b)") - basis("(b,a)")
-    assert lie_bracket("circle", a, b) == basis("(b(a))") - basis("(a(b))")
+    assert lie_bracket(dot, a, a).is_zero
+    assert lie_bracket(dot, a, b) == basis("(a,b)") - basis("(b,a)")
+    assert lie_bracket(circle, a, b) == basis("(b(a))") - basis("(a(b))")
     rng = random.Random(5)
     pool = {n: enumerate_trees(n, ["a", "b"]) for n in (1, 2)}
-    for kind in ("dot", "circle", "sum"):
+    for mul in (dot, circle, star):
         for _ in range(15):
             x, y, z = (LinComb.term(rng.choice(pool[rng.randint(1, 2)])) for _ in range(3))
             jac = (
-                lie_bracket(kind, lie_bracket(kind, x, y), z)
-                + lie_bracket(kind, lie_bracket(kind, y, z), x)
-                + lie_bracket(kind, lie_bracket(kind, z, x), y)
+                lie_bracket(mul, lie_bracket(mul, x, y), z)
+                + lie_bracket(mul, lie_bracket(mul, y, z), x)
+                + lie_bracket(mul, lie_bracket(mul, z, x), y)
             )
             assert jac.is_zero
-
-
-def test_lie_bracket_unknown_kind():
-    with pytest.raises(ValueError):
-        lie_bracket("anti", basis("(a)"), basis("(b)"))
 
 
 # --- finite-dimensional targets ----------------------------------------------

@@ -148,6 +148,23 @@ def test_bad_colors_and_letters_exit_one(capsys):
     assert (code, out) == (1, "")
 
 
+def test_repeated_colors_exit_one(capsys):
+    for argv in (("trees", "enum", "--degree", "1"), ("prim-basis", "--degree", "2")):
+        code, out, err = run(capsys, *argv, "--colors", "a,a")
+        assert (code, out) == (1, "")
+        assert "repeated color 'a'" in err
+
+
+def test_zero_denominator_and_deep_nesting_exit_one(capsys):
+    code, out, err = run(capsys, "mul", "--op", "star:1/0,1", "(a)", "(b)")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad star coefficients")
+    deep = "(" + "a(" * 1999 + "a" + ")" * 1999 + ")"
+    code, out, err = run(capsys, "normalize", deep)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 def test_byte_stable_output(capsys):
     first = run(capsys, "verify", "--suite", "coalgebra", "--max-degree", "3", "--seed", "11")
     second = run(capsys, "verify", "--suite", "coalgebra", "--max-degree", "3", "--seed", "11")

@@ -104,7 +104,7 @@ def test_path_keys():
     paths = enumerate_paths(("a", "b", "x"), 2)
     for p in paths:
         assert_agrees(p, parse_path)
-        for key in _coproduct_path(p).support():
+        for key, _ in _coproduct_path(p).items():
             for leg in key.legs:
                 assert_agrees(leg, parse_path)
     for p, q in itertools.product(paths, repeat=2):

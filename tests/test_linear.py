@@ -148,7 +148,7 @@ def test_non_integer_scalars_are_made_exact_or_refused():
 def test_construction_merges_and_drops_zeros():
     x = LinComb([("t", Fraction(1, 2)), ("t", Fraction(1, 2)), ("u", 3), ("u", -3)])
     assert x == LinComb.term("t")
-    assert "u" not in x.support()
+    assert x.coeff("u") == 0
 
 
 def test_add_identity_and_cancellation():
@@ -207,7 +207,7 @@ def test_apply_on_leg_collapses_one_leg_to_plain_keys():
     x = LinComb([("s", 2), ("t", -1)])
     result = apply_on_leg(lambda k: LinComb.term(k + "'", 3), x, 0)
     assert result == LinComb([("s'", 6), ("t'", -3)])
-    assert all(isinstance(k, str) for k in result.support())
+    assert all(isinstance(k, str) for k, _ in result.items())
     # a one-leg key mapped to tensor keys keeps them
     assert apply_on_leg(lambda k: LinComb.term(Tensor(k, k)), x, 0) == LinComb(
         [(Tensor("s", "s"), 2), (Tensor("t", "t"), -1)]

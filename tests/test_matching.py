@@ -56,8 +56,6 @@ def test_word_text_roundtrip():
     assert parse_word(str(w)) == w
     with pytest.raises(ValueError):
         parse_word("a..b")
-    with pytest.raises(ValueError):
-        parse_word("a|c", palette=["a", "b"])
 
 
 def test_malformed_letters_rejected():
@@ -67,6 +65,11 @@ def test_malformed_letters_rejected():
             parse_word(text)
     with pytest.raises(ValueError):
         enumerate_words(2, ["a", "b|c"])
+
+
+def test_repeated_letters_refused():
+    with pytest.raises(ValueError, match="repeated color 'a'"):
+        enumerate_words(2, ["a", "a"])
 
 
 def test_separator_in_a_letter_does_not_alias_another_word():
@@ -215,18 +218,6 @@ def test_composition_ops():
     assert comp_dot((1,), (1,)) == (1, 1)
     assert comp_circ((2, 1), (3,)) == (2, 4)
     assert comp_circ((1,), (1, 2)) == (2, 2)
-
-
-def test_composition_text_format():
-    from cab.matching import format_composition, parse_composition
-
-    assert format_composition((2, 1)) == "(2,1)"
-    assert parse_composition("(2, 1)") == (2, 1)
-    assert parse_composition(format_composition((3,))) == (3,)
-    with pytest.raises(ValueError):
-        parse_composition("(0,1)")
-    with pytest.raises(ValueError):
-        parse_composition("2,1")
 
 
 def test_composition_counts():

@@ -15,7 +15,6 @@ from cab.paths import (
     path_coassociativity_residual,
     path_coderivation_residual,
     path_coproduct,
-    path_elem,
     path_mul,
     path_mult_residual,
     path_R,

@@ -16,16 +16,14 @@ from cab.trees import (
     factorize,
     is_irreducible,
     parse_tree,
-    render_tree,
     root_concat,
     unwrap_root,
-    vertex_color,
     wrap_root,
 )
 
 
 def order_colors(t):
-    return [vertex_color(t, vid) for vid in canonical_vertex_order(t)]
+    return [contract(t, [vid]).children[0][0] for vid in canonical_vertex_order(t)]
 
 
 # --- grammar ---------------------------------------------------------------
@@ -42,8 +40,8 @@ def test_parse_simple_forms():
 
 def test_parse_ignores_whitespace_and_roundtrips():
     t = parse_tree(" ( b ( a ) , c ) ")
-    assert render_tree(t) == "(b(a),c)"
-    assert parse_tree(render_tree(t)) == t
+    assert t.text == "(b(a),c)"
+    assert parse_tree(t.text) == t
 
 
 @pytest.mark.parametrize(
@@ -64,16 +62,10 @@ def test_parse_errors_carry_offsets(text, offset):
     assert err.value.offset == offset
 
 
-def test_parse_palette_check():
-    assert parse_tree("(a,b)", palette=["a", "b"]).degree == 2
-    with pytest.raises(TreeSyntaxError):
-        parse_tree("(a,c)", palette=["a", "b"])
-
-
 def test_roundtrip_on_enumerated_trees():
     for n in range(1, 5):
         for t in enumerate_trees(n, ["a", "b"]):
-            assert parse_tree(render_tree(t)) == t
+            assert parse_tree(t.text) == t
 
 
 # --- factorization ----------------------------------------------------------
@@ -219,6 +211,15 @@ def test_enumeration_rejects_bad_input():
             enumerate_trees(2, bad)
         with pytest.raises(ValueError):
             enumerate_irreducible(2, bad)
+
+
+def test_repeated_colors_refused():
+    # a repeated color would list each tree, and each primitive, more than once
+    for bad in (["a", "a"], ["a", "b", "a"]):
+        with pytest.raises(ValueError, match="repeated color 'a'"):
+            enumerate_trees(1, bad)
+        with pytest.raises(ValueError, match="repeated color 'a'"):
+            enumerate_irreducible(1, bad)
 
 
 def test_equality_is_canonical_text():
