@@ -130,13 +130,16 @@ def _parse_op(name: str):
     if name == "circle":
         return circle
     if name.startswith("star:"):
-        parts = name[len("star:") :].split(",")
+        spec = name[len("star:") :]
+        parts = spec.split(",")
         if len(parts) != 2:
             raise UsageError("star takes two coefficients, e.g. star:1,1 or star:-1,1")
         try:
             alpha, beta = Fraction(parts[0]), Fraction(parts[1])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad star coefficients: {exc}") from exc
+        except ZeroDivisionError as exc:
+            raise UsageError(f"bad star coefficients {spec!r}: zero denominator") from exc
+        except ValueError as exc:
+            raise UsageError(f"bad star coefficients {spec!r}: {exc}") from exc
         return lambda x, y: star(x, y, alpha, beta)
     raise UsageError(f"unknown op {name!r}; use dot, circle, or star:A,B")
 
@@ -289,8 +292,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError, KeyError, RecursionError) as exc:
+    except (UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 1
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 # the one pattern for colors, word letters and path points; use it with
@@ -298,12 +299,9 @@ def contract_map(t: Tree, ids: Iterable[VertexId]) -> tuple[Tree, dict]:
     return Tree(tuple(forest)), mapping
 
 
-@lru_cache(maxsize=None)
 def catalan(n: int) -> int:
-    """c_0 = 1, c_{n+1} = sum_i c_i c_{n-i}; counts degree-n tree shapes."""
-    if n == 0:
-        return 1
-    return sum(catalan(i) * catalan(n - 1 - i) for i in range(n))
+    """c_n = C(2n, n) / (n + 1); counts degree-n tree shapes."""
+    return comb(2 * n, n) // (n + 1)
 
 
 @lru_cache(maxsize=None)

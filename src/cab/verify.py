@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -85,6 +86,33 @@ def _terms(*keys) -> tuple[LinComb, ...]:
     return tuple(LinComb.term(k) for k in keys)
 
 
+def _graded(pool, k, total):
+    """Every k-tuple of keys from ``pool`` (degree -> keys) whose degrees sum
+    to at most ``total``, lazily, with the degree tuples in lexicographic
+    order."""
+    for ds in itertools.product(sorted(pool), repeat=k):
+        if sum(ds) <= total:
+            yield from itertools.product(*(pool[d] for d in ds))
+
+
+def _random_element(rng, draw, p):
+    """c·k, plus c′·k′ with probability ``p``: keys from ``draw(rng)``,
+    c in 1..3 and c′ in -2..2."""
+    x = LinComb.term(draw(rng)) * rng.randint(1, 3)
+    if rng.random() < p:
+        x = x + LinComb.term(draw(rng)) * rng.randint(-2, 2)
+    return x
+
+
+def _dialgebra_laws(dot, circ):
+    """Both associativities and the matching laws of a pair of products."""
+    return (
+        partial(associativity_fails, dot),
+        partial(associativity_fails, circ),
+        partial(matching_fails, dot, circ),
+    )
+
+
 # --------------------------------------------------------------------------
 # axioms: the two products
 
@@ -101,13 +129,7 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED):
     circle_assoc = partial(associativity_fails, circle)
     compat = partial(compatibility_fails, dot, circle)
     pool1 = _tree_pool(max(1, max_degree - 2), ["a"])
-    degrees = range(1, max_degree - 1)
-    triples = (
-        _terms(x, y, z)
-        for da, db, dc in itertools.product(degrees, repeat=3)
-        if da + db + dc <= max_degree
-        for x, y, z in itertools.product(pool1[da], pool1[db], pool1[dc])
-    )
+    triples = (_terms(*xyz) for xyz in _graded(pool1, 3, max_degree))
     n_triples, (assoc_bad, compat_bad) = _sweep(triples, circle_assoc, compat)
     checks.append(
         Check("circle-associativity-exhaustive", assoc_bad == 0,
@@ -144,16 +166,10 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED):
     checks.append(Check("star-associativity-random-weights", bad == 0,
                         "5 rational weight pairs x 20 triples"))
 
-    pairs = (
-        (t, w, da + db)
-        for da in range(1, 5)
-        for db in range(1, 5)
-        if da + db <= 6
-        for t in pool2[da][:12]
-        for w in pool2[db][:12]
-    )
-    _, (bad,) = _sweep(pairs, lambda t, w, n: any(
-        key.degree != n or c.denominator != 1 for key, c in circle(*_terms(t, w)).items()
+    pairs = _graded({d: pool2[d][:12] for d in range(1, 5)}, 2, 6)
+    _, (bad,) = _sweep(pairs, lambda t, w: any(
+        key.degree != t.degree + w.degree or c.denominator != 1
+        for key, c in circle(*_terms(t, w)).items()
     ))
     checks.append(Check("circle-degree-and-integrality", bad == 0,
                         "degree additive, integer coefficients"))
@@ -196,9 +212,8 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
     pool1 = _tree_pool(max_degree, ["a"])
     pool2 = _tree_pool(5, ["a", "b"])  # random sweeps draw degrees up to 5
 
-    trees = ((t,) for n in range(1, max_degree + 1) for t in pool1[n])
     n_trees, (coassoc_bad, closed_bad) = _sweep(
-        trees,
+        _graded(pool1, 1, max_degree),
         lambda t: inf.coassociativity_residual(LinComb.term(t)),
         lambda t: inf.coproduct_closed(t) != inf.coproduct(LinComb.term(t)),
     )
@@ -213,13 +228,7 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
     checks.append(Check("closed-vs-recursive-coproduct", closed_bad == 0,
                         f"{n_trees} one-color trees to degree {max_degree}"))
 
-    pairs = (
-        _terms(t, w)
-        for da in range(1, max_degree)
-        for db in range(1, max_degree)
-        if da + db <= max_degree - 1
-        for t, w in itertools.product(pool1[da], pool1[db])
-    )
+    pairs = (_terms(t, w) for t, w in _graded(pool1, 2, max_degree - 1))
     n_pairs, (dot_bad, circ_bad) = _sweep(
         pairs,
         partial(inf.infinitesimal_residual, "dot"),
@@ -247,7 +256,7 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
         ex = inf.primitive_projector(x)
         return inf.primitive_projector(ex) != ex or inf.coproduct(ex)
 
-    elements = (_terms(t) for n in range(1, min(max_degree, 6) + 1) for t in pool1[n])
+    elements = (_terms(*t) for t in _graded(pool1, 1, min(max_degree, 6)))
     _, (e_bad, series_bad) = _sweep(
         elements,
         projector_fails,
@@ -263,17 +272,9 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
     prims = {
         n: inf.primitive_basis(n, ["a", "b"]) for n in (1, 2)
     }
-
-    def nop_args(arity):
-        ps = []
-        budget = 8
-        for _ in range(arity):
-            deg = 2 if (budget > arity and rng.random() < 0.3) else 1
-            budget -= deg
-            ps.append(rng.choice(prims[deg]))
-        return arity, ps
-
-    inputs = (nop_args(arity) for arity in range(2, 6) for _ in range(10))
+    inputs = (
+        (arity, _random_primitive_tuple(rng, prims, arity)) for arity in range(2, 6) for _ in range(10)
+    )
     _, (bad,) = _sweep(inputs, lambda arity, ps: inf.coproduct(inf.n_op(arity, ps)))
     checks.append(Check("primitives-closed-under-nops", bad == 0,
                         "Δ(N_n(p₁..pₙ)) = 0 for primitive arguments, n <= 5"))
@@ -370,29 +371,14 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
         for n in range(1, max(5, max_degree - 1))
     }
 
-    degrees = range(1, max_degree - 1)
-    triples = (
-        uvw
-        for da, db, dc in itertools.product(degrees, repeat=3)
-        if da + db + dc <= max_degree
-        for uvw in itertools.product(words[da], words[db], words[dc])
-    )
     n_triples, bad = _sweep(
-        triples,
-        partial(matching_fails, mat.m_dot, mat.m_circ),
-        partial(associativity_fails, mat.m_dot),
-        partial(associativity_fails, mat.m_circ),
+        _graded(words, 3, max_degree), *_dialgebra_laws(mat.m_dot, mat.m_circ)
     )
     checks.append(Check("word-matching-laws-exhaustive", sum(bad) == 0,
                         f"{n_triples} word triples (d=2), total degree <= {max_degree}, laws hold on the nose"))
 
-    def random_word_element():
-        x = LinComb.term(rng.choice(words[rng.randint(1, 4)])) * rng.randint(1, 3)
-        if rng.random() < 0.5:
-            x = x + LinComb.term(rng.choice(words[rng.randint(1, 4)])) * rng.randint(-2, 2)
-        return x
-
-    triples = ([random_word_element() for _ in range(3)] for _ in range(60))
+    word = lambda rng: rng.choice(words[rng.randint(1, 4)])
+    triples = ([_random_element(rng, word, 0.5) for _ in range(3)] for _ in range(60))
     _, bad = _sweep(
         triples,
         partial(associativity_fails, mat.word_star),
@@ -401,15 +387,8 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
     checks.append(Check("word-star-joni-rota", sum(bad) == 0,
                         "∗ = ∘ − · associative with no x⊗y coproduct term; 60 random triples"))
 
-    trees2 = _tree_pool(5, ["a", "b"])
-    pairs = (
-        _terms(t, w)
-        for da in range(1, 6)
-        for db in range(1, 6)
-        if da + db <= 6
-        for t in trees2[da][:16]
-        for w in trees2[db][:16]
-    )
+    trees2 = {d: ts[:16] for d, ts in _tree_pool(5, ["a", "b"]).items()}
+    pairs = (_terms(t, w) for t, w in _graded(trees2, 2, 6))
     n_pairs, bad = _sweep(
         pairs,
         partial(homomorphism_fails, mat.normalize_lin, dot, mat.word_dot),
@@ -445,18 +424,9 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
     checks.append(Check("composition-homomorphism", sum(bad) == 0,
                         "block shapes intertwine word and composition products"))
 
-    def random_tensor_element():
-        w1 = rng.choice(words[rng.randint(1, 3)])
-        w2 = rng.choice(words[rng.randint(1, 3)])
-        t = LinComb.term(Tensor(w1, w2))
-        if rng.random() < 0.5:
-            t = t + LinComb.term(
-                Tensor(rng.choice(words[rng.randint(1, 3)]), rng.choice(words[rng.randint(1, 3)]))
-            ) * rng.randint(-2, 2)
-        return t
-
+    word_pair = lambda rng: Tensor(*(rng.choice(words[rng.randint(1, 3)]) for _ in range(2)))
     word_square = partial(mat.tensor_square_star, dot_fn=mat.m_dot, circ_fn=mat.m_circ)
-    triples = ([random_tensor_element() for _ in range(3)] for _ in range(40))
+    triples = ([_random_element(rng, word_pair, 0.5) for _ in range(3)] for _ in range(40))
     _, (bad,) = _sweep(triples, partial(associativity_fails, word_square))
     checks.append(Check("tensor-square-star-associative", bad == 0,
                         "40 random triples in the word dialgebra tensor square"))
@@ -491,9 +461,7 @@ def _semihom_checks(rng) -> list[Check]:
     triples = (
         [A.vector([rng.randint(-2, 2) for _ in range(m)]) for _ in range(3)] for _ in range(30)
     )
-    _, bad = _sweep(
-        triples, partial(matching_fails, A.dot, A.circ), partial(associativity_fails, A.circ)
-    )
+    _, bad = _sweep(triples, *_dialgebra_laws(A.dot, A.circ))
     checks.append(Check("polynomial-matching-laws", sum(bad) == 0,
                         "the induced pair is a matching dialgebra; 30 random triples"))
 
@@ -532,39 +500,26 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
                         f"e = Σ p[i,i] is a two-sided unit on {len(basis_full)} basis paths"))
 
     # chained triples keep the sweep meaningful: unmatched endpoints give 0 = 0
-    interiors = [()]
-    for k in range(1, 3):
-        interiors.extend(itertools.product(S, repeat=k))
+    ends = defaultdict(list)
+    for p in basis_small:
+        ends[p.points[0], p.points[-1]].append(p)
     # on bare keys: a chained product is never None
     triples = (
-        (pth.Path((a,) + i1 + (b,)), pth.Path((b,) + i2 + (c,)), pth.Path((c,) + i3 + (d,)))
+        pqr
         for a, b, c, d in itertools.product(S, repeat=4)
-        for i1, i2, i3 in itertools.product(interiors, repeat=3)
+        for pqr in itertools.product(ends[a, b], ends[b, c], ends[c, d])
     )
-
-    def laws(mul, circ):
-        return (
-            partial(associativity_fails, mul),
-            partial(associativity_fails, circ),
-            partial(matching_fails, mul, circ),
-        )
-
     n_triples, (mul_bad, circ_bad, match_bad) = _sweep(
-        triples, *laws(pth._mul_paths, pth._circ_paths)
+        triples, *_dialgebra_laws(pth._mul_paths, pth._circ_paths)
     )
     checks.append(Check("path-associativity-exhaustive", mul_bad + circ_bad == 0,
                         f"both products on {n_triples} chained basis triples, interior <= 2"))
     checks.append(Check("path-matching-laws-exhaustive", match_bad == 0,
                         f"both matching laws on {n_triples} chained basis triples, interior <= 2"))
 
-    def random_path_element():
-        x = LinComb.term(rng.choice(basis_full)) * rng.randint(1, 3)
-        if rng.random() < 0.6:
-            x = x + LinComb.term(rng.choice(basis_full)) * rng.randint(-2, 2)
-        return x
-
-    triples = ([random_path_element() for _ in range(3)] for _ in range(120))
-    _, bad = _sweep(triples, *laws(mul, circ))
+    path = lambda rng: rng.choice(basis_full)
+    triples = ([_random_element(rng, path, 0.6) for _ in range(3)] for _ in range(120))
+    _, bad = _sweep(triples, *_dialgebra_laws(mul, circ))
     checks.append(Check("path-laws-random-lincombs", sum(bad) == 0,
                         f"120 random linear-combination triples, interior <= {max_interior}"))
 

@@ -41,6 +41,8 @@ CASES = {
     "verify-coalgebra-json": [
         "verify", "--suite", "coalgebra", "--max-degree", "3", "--seed", "7", "--json",
     ],
+    "verify-axioms-5": ["verify", "--suite", "axioms", "--max-degree", "5", "--seed", "3"],
+    "verify-matching-5": ["verify", "--suite", "matching", "--max-degree", "5", "--seed", "3"],
     "verify-axioms-json": [
         "verify", "--suite", "axioms", "--max-degree", "4", "--seed", "7", "--json",
     ],

@@ -175,6 +175,7 @@ def test_catalan_values():
     expected = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
     assert [catalan(n) for n in range(11)] == expected
     assert [catalan_oracle(n) for n in range(11)] == expected
+    assert [catalan(n) for n in range(31)] == [catalan_oracle(n) for n in range(31)]
 
 
 def test_enumeration_counts():
