@@ -316,14 +316,8 @@ def infinitesimal_law(
     delta: Callable, mul: Callable, weight: Scalar, x: LinComb, y: LinComb
 ) -> LinComb:
     """Δ(x∙y) − x₁⊗(x₂∙y) − (x∙y₁)⊗y₂ − w·x⊗y (Joni–Rota, Aguiar)."""
-    left = linear_map(
-        lambda k: tensor(LinComb.term(k.legs[0]), mul(LinComb.term(k.legs[1]), y)),
-        linear_map(delta, x),
-    )
-    right = linear_map(
-        lambda k: tensor(mul(x, LinComb.term(k.legs[0])), LinComb.term(k.legs[1])),
-        linear_map(delta, y),
-    )
+    left = apply_on_leg(lambda k: mul(LinComb.term(k), y), linear_map(delta, x), 1)
+    right = apply_on_leg(lambda k: mul(x, LinComb.term(k)), linear_map(delta, y), 0)
     return LinComb.sum([
         (linear_map(delta, mul(x, y)), 1), (left, -1), (right, -1), (tensor(x, y), -weight)
     ])

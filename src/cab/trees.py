@@ -265,19 +265,6 @@ def contract_map(t: Tree, ids: Iterable[VertexId]) -> tuple[Tree, dict]:
     keep = set(ids)
     if not keep:
         raise ValueError("cannot contract onto the empty vertex set")
-    valid = set()
-
-    def collect(vertices, prefix):
-        for i, (_, kids) in enumerate(vertices):
-            vid = prefix + (i,)
-            valid.add(vid)
-            collect(kids, vid)
-
-    collect(t.children, ())
-    stray = keep - valid
-    if stray:
-        raise KeyError(f"no vertex {sorted(stray)[0]} in {t}")
-
     mapping: dict = {}
 
     def rebuild(vertices, prefix, new_prefix, out):
@@ -296,6 +283,9 @@ def contract_map(t: Tree, ids: Iterable[VertexId]) -> tuple[Tree, dict]:
 
     forest: list = []
     rebuild(t.children, (), (), forest)
+    stray = keep - mapping.keys()
+    if stray:
+        raise KeyError(f"no vertex {sorted(stray)[0]} in {t}")
     return Tree(tuple(forest)), mapping
 
 

@@ -3,9 +3,11 @@
 Each suite runs a battery of exhaustive and seeded-random checks and returns
 one ``Check`` per claim.  Everything is exact arithmetic, so "pass" always
 means the residual was literally zero (or, for the diagnostics and the
-negative control, that the reported value matched the derivation).  Most
-checks are one ``_sweep`` of laws, written once in ``linear``, over lazily
-generated inputs.
+negative control, that the reported value matched the derivation).  Every
+check but three is one ``_check`` call: laws, written once in ``linear``,
+over lazily generated inputs.  ``primitive-basis-ranks``,
+``dimension-report`` and ``tensor-square-negative-control`` compare computed
+values with derived ones and print them, so they are built by hand.
 """
 
 from __future__ import annotations
@@ -44,22 +46,24 @@ class Check:
     detail: str = ""
 
 
-def _sweep(inputs, *laws) -> tuple[int, list[int]]:
-    """Apply every law to every argument tuple of ``inputs``.
+def _check(name: str, detail, inputs, *laws) -> Check:
+    """The check that every law holds on every argument tuple of ``inputs``.
 
     A law returns something true when it fails: a nonzero residual or a
-    failing predicate.  Returns the number of inputs and each law's failure
-    count.  ``inputs`` is consumed lazily, so a generator that draws from an
-    rng draws in the same order as a loop evaluating each input in turn.
+    failing predicate.  ``inputs`` is consumed lazily, so a generator that
+    draws from an rng draws in the same order as a loop evaluating each input
+    in turn.  ``detail`` is a string, or a function of the number of inputs
+    and the number of failures.
     """
-    n = 0
-    failures = [0] * len(laws)
+    n = failures = 0
     for args in inputs:
         n += 1
-        for i, law in enumerate(laws):
+        for law in laws:
             if law(*args):
-                failures[i] += 1
-    return n, failures
+                failures += 1
+    if callable(detail):
+        detail = detail(n, failures)
+    return Check(name, failures == 0, detail)
 
 
 def _tree_pool(max_degree: int, colors) -> dict[int, list[Tree]]:
@@ -121,37 +125,28 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED):
     checks = []
     rng = random.Random(seed)
 
-    counts_ok = all(
-        len(enumerate_trees(n, ["a"])) == catalan(n) for n in range(1, 9)
-    ) and len(enumerate_trees(2, ["a", "b"])) == 4 * 2
-    checks.append(Check("catalan-basis-counts", counts_ok, "degrees 1..8, d in {1,2}"))
+    counts = [(n, ["a"], catalan(n)) for n in range(1, 9)] + [(2, ["a", "b"], 4 * 2)]
+    checks.append(_check("catalan-basis-counts", "degrees 1..8, d in {1,2}", counts,
+                         lambda n, colors, count: len(enumerate_trees(n, colors)) != count))
 
     circle_assoc = partial(associativity_fails, circle)
     compat = partial(compatibility_fails, dot, circle)
     pool1 = _tree_pool(max(1, max_degree - 2), ["a"])
-    triples = (_terms(*xyz) for xyz in _graded(pool1, 3, max_degree))
-    n_triples, (assoc_bad, compat_bad) = _sweep(triples, circle_assoc, compat)
-    checks.append(
-        Check("circle-associativity-exhaustive", assoc_bad == 0,
-              f"{n_triples} one-color triples, total degree <= {max_degree}")
-    )
-    checks.append(
-        Check("compatibility-exhaustive", compat_bad == 0,
-              f"{n_triples} one-color triples, total degree <= {max_degree}")
-    )
 
-    # the later sweeps draw degrees up to 5 whatever the exhaustive bound is
-    pool2 = _tree_pool(max(5, max_degree + 1), ["a", "b"])
-    triples = (_random_trees(rng, pool2, 3, max_degree + 1) for _ in range(500))
-    _, (assoc_bad, compat_bad) = _sweep(triples, circle_assoc, compat)
-    checks.append(
-        Check("circle-associativity-random", assoc_bad == 0,
-              f"500 colored triples (d=2), total degree <= {max_degree + 1}")
-    )
-    checks.append(
-        Check("compatibility-random", compat_bad == 0,
-              f"500 colored triples (d=2), total degree <= {max_degree + 1}")
-    )
+    def triples():
+        return (_terms(*xyz) for xyz in _graded(pool1, 3, max_degree))
+
+    detail = lambda n, bad: f"{n} one-color triples, total degree <= {max_degree}"
+    checks.append(_check("circle-associativity-exhaustive", detail, triples(), circle_assoc))
+    checks.append(_check("compatibility-exhaustive", detail, triples(), compat))
+
+    # no random draw has a degree above max(4, max_degree - 1), whatever the
+    # exhaustive bound is
+    pool2 = _tree_pool(max(4, max_degree - 1), ["a", "b"])
+    random_triples = [_random_trees(rng, pool2, 3, max_degree + 1) for _ in range(500)]
+    detail = f"500 colored triples (d=2), total degree <= {max_degree + 1}"
+    checks.append(_check("circle-associativity-random", detail, random_triples, circle_assoc))
+    checks.append(_check("compatibility-random", detail, random_triples, compat))
 
     weight_pairs = [
         (rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
@@ -162,17 +157,15 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED):
         for alpha, beta in weight_pairs
         for _ in range(20)
     )
-    _, (bad,) = _sweep(inputs, associativity_fails)
-    checks.append(Check("star-associativity-random-weights", bad == 0,
-                        "5 rational weight pairs x 20 triples"))
+    checks.append(_check("star-associativity-random-weights",
+                         "5 rational weight pairs x 20 triples", inputs, associativity_fails))
 
     pairs = _graded({d: pool2[d][:12] for d in range(1, 5)}, 2, 6)
-    _, (bad,) = _sweep(pairs, lambda t, w: any(
-        key.degree != t.degree + w.degree or c.denominator != 1
-        for key, c in circle(*_terms(t, w)).items()
-    ))
-    checks.append(Check("circle-degree-and-integrality", bad == 0,
-                        "degree additive, integer coefficients"))
+    checks.append(_check("circle-degree-and-integrality", "degree additive, integer coefficients",
+                         pairs, lambda t, w: any(
+                             key.degree != t.degree + w.degree or c.denominator != 1
+                             for key, c in circle(*_terms(t, w)).items()
+                         )))
 
     inputs = (
         (mul, *xyz)
@@ -184,21 +177,16 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED):
         br = partial(lie_bracket, mul)
         return br(br(x, y), z) + br(br(y, z), x) + br(br(z, x), y)
 
-    _, bad = _sweep(inputs, lambda mul, x, y, z: lie_bracket(mul, x, x), jacobi)
-    checks.append(Check("lie-brackets", sum(bad) == 0,
-                        "antisymmetry + Jacobi, 60 triples x 3 brackets"))
+    checks.append(_check("lie-brackets", "antisymmetry + Jacobi, 60 triples x 3 brackets", inputs,
+                         lambda mul, x, y, z: lie_bracket(mul, x, x), jacobi))
 
     target = mat.truncated_polynomial_algebra(6)  # x∘y = x·X·y
     assign = {"a": [0, 1, 0, 0, 0, 0], "b": [1, 0, 1, 0, 0, 0]}
     ev = partial(evaluate, target, assign)
     pairs = (_random_trees(rng, pool2, 2, 5) for _ in range(60))
-    _, bad = _sweep(
-        pairs,
-        partial(homomorphism_fails, ev, dot, target.dot),
-        partial(homomorphism_fails, ev, circle, target.circ),
-    )
-    checks.append(Check("evaluate-homomorphism", sum(bad) == 0,
-                        "both products, 60 pairs into a validated target"))
+    checks.append(_check("evaluate-homomorphism", "both products, 60 pairs into a validated target",
+                         pairs, partial(homomorphism_fails, ev, dot, target.dot),
+                         partial(homomorphism_fails, ev, circle, target.circ)))
     return checks
 
 
@@ -212,62 +200,56 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
     pool1 = _tree_pool(max_degree, ["a"])
     pool2 = _tree_pool(5, ["a", "b"])  # random sweeps draw degrees up to 5
 
-    n_trees, (coassoc_bad, closed_bad) = _sweep(
-        _graded(pool1, 1, max_degree),
-        lambda t: inf.coassociativity_residual(LinComb.term(t)),
-        lambda t: inf.coproduct_closed(t) != inf.coproduct(LinComb.term(t)),
-    )
-    elements = (
-        (_random_tree(rng, pool2, rng.randint(1, 5))
-         + _random_tree(rng, pool2, rng.randint(1, 5)) * rng.randint(-3, 3),)
-        for _ in range(40)
-    )
-    _, (random_bad,) = _sweep(elements, inf.coassociativity_residual)
-    checks.append(Check("coassociativity", coassoc_bad + random_bad == 0,
-                        f"{n_trees} one-color trees to degree {max_degree} + 40 random colored elements"))
-    checks.append(Check("closed-vs-recursive-coproduct", closed_bad == 0,
-                        f"{n_trees} one-color trees to degree {max_degree}"))
+    def trees(top):
+        return (_terms(*t) for t in _graded(pool1, 1, top))
 
-    pairs = (_terms(t, w) for t, w in _graded(pool1, 2, max_degree - 1))
-    n_pairs, (dot_bad, circ_bad) = _sweep(
-        pairs,
-        partial(inf.infinitesimal_residual, "dot"),
-        partial(inf.infinitesimal_residual, "circle"),
-    )
-    checks.append(Check("infinitesimal-dot", dot_bad == 0,
-                        f"{n_pairs} basis pairs, total degree <= {max_degree - 1}"))
-    checks.append(Check("infinitesimal-circle", circ_bad == 0,
-                        f"{n_pairs} basis pairs, total degree <= {max_degree - 1}"))
+    tree = lambda rng: rng.choice(pool2[rng.randint(1, 5)])
+    elements = itertools.chain(trees(max_degree), ((_random_element(rng, tree, 1),) for _ in range(40)))
+    checks.append(_check("coassociativity",
+                         lambda n, bad: f"{n - 40} one-color trees to degree {max_degree} + 40 random colored elements",
+                         elements, inf.coassociativity_residual))
+    checks.append(_check("closed-vs-recursive-coproduct",
+                         lambda n, bad: f"{n} one-color trees to degree {max_degree}",
+                         _graded(pool1, 1, max_degree),
+                         lambda t: inf.coproduct_closed(t) != inf.coproduct(LinComb.term(t))))
 
-    pairs = (_random_trees(rng, pool2, 2, 6) for _ in range(40))
-    _, (bad,) = _sweep(pairs, partial(inf.infinitesimal_residual, ("star", -1, 1)))
-    checks.append(Check("joni-rota-star", bad == 0,
-                        "star(-1,1) has no x⊗y term; 40 random pairs"))
+    def pairs():
+        return (_terms(t, w) for t, w in _graded(pool1, 2, max_degree - 1))
+
+    detail = lambda n, bad: f"{n} basis pairs, total degree <= {max_degree - 1}"
+    checks.append(_check("infinitesimal-dot", detail, pairs(),
+                         partial(inf.infinitesimal_residual, "dot")))
+    checks.append(_check("infinitesimal-circle", detail, pairs(),
+                         partial(inf.infinitesimal_residual, "circle")))
+
+    random_pairs = (_random_trees(rng, pool2, 2, 6) for _ in range(40))
+    checks.append(_check("joni-rota-star", "star(-1,1) has no x⊗y term; 40 random pairs",
+                         random_pairs, partial(inf.infinitesimal_residual, ("star", -1, 1))))
 
     triples = (_random_trees(rng, pool2, 3, 6) for _ in range(30))
-    _, (bad,) = _sweep(triples, lambda x, y, z: inf.coproduct(
-        circle(dot(x, y), z) + dot(circle(x, y), z)
-        - dot(x, circle(y, z)) - circle(x, dot(y, z))
-    ))
-    checks.append(Check("coproduct-well-defined-combination", bad == 0,
-                        "Δ of the compatibility combination vanishes; 30 triples"))
+    checks.append(_check("coproduct-well-defined-combination",
+                         "Δ of the compatibility combination vanishes; 30 triples",
+                         triples, lambda x, y, z: inf.coproduct(
+                             circle(dot(x, y), z) + dot(circle(x, y), z)
+                             - dot(x, circle(y, z)) - circle(x, dot(y, z))
+                         )))
 
-    def projector_fails(x):
+    def projector_fails(x, is_dot_product):
+        """e kills a dot product; on a tree, e∘e = e and Δ∘e = 0."""
         ex = inf.primitive_projector(x)
+        if is_dot_product:
+            return ex
         return inf.primitive_projector(ex) != ex or inf.coproduct(ex)
 
-    elements = (_terms(*t) for t in _graded(pool1, 1, min(max_degree, 6)))
-    _, (e_bad, series_bad) = _sweep(
-        elements,
-        projector_fails,
-        lambda x: inf.primitive_projector_series(x) != inf.primitive_projector(x),
+    elements = itertools.chain(
+        ((x, False) for (x,) in trees(min(max_degree, 6))),
+        ((dot(*_random_trees(rng, pool2, 2, 5)), True) for _ in range(30)),
     )
-    products = ((dot(*_random_trees(rng, pool2, 2, 5)),) for _ in range(30))
-    _, (kill_bad,) = _sweep(products, inf.primitive_projector)
-    checks.append(Check("projector-idempotent-primitive", e_bad + kill_bad == 0,
-                        "e∘e = e, Δ∘e = 0, e kills dot products"))
-    checks.append(Check("projector-series-crosscheck", series_bad == 0,
-                        "recursion equals the alternating-sign series"))
+    checks.append(_check("projector-idempotent-primitive", "e∘e = e, Δ∘e = 0, e kills dot products",
+                         elements, projector_fails))
+    checks.append(_check("projector-series-crosscheck", "recursion equals the alternating-sign series",
+                         trees(min(max_degree, 6)),
+                         lambda x: inf.primitive_projector_series(x) != inf.primitive_projector(x)))
 
     prims = {
         n: inf.primitive_basis(n, ["a", "b"]) for n in (1, 2)
@@ -275,9 +257,9 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
     inputs = (
         (arity, _random_primitive_tuple(rng, prims, arity)) for arity in range(2, 6) for _ in range(10)
     )
-    _, (bad,) = _sweep(inputs, lambda arity, ps: inf.coproduct(inf.n_op(arity, ps)))
-    checks.append(Check("primitives-closed-under-nops", bad == 0,
-                        "Δ(N_n(p₁..pₙ)) = 0 for primitive arguments, n <= 5"))
+    checks.append(_check("primitives-closed-under-nops",
+                         "Δ(N_n(p₁..pₙ)) = 0 for primitive arguments, n <= 5",
+                         inputs, lambda arity, ps: inf.coproduct(inf.n_op(arity, ps))))
     return checks
 
 
@@ -317,16 +299,16 @@ def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED):
     relations = [("R1", n) for n in range(2, max_n + 1)] + ["low2", "low3", "low4"]
     specs = [(rel, inf.n_relation_arity(rel)) for rel in relations]
     inputs = _relation_inputs(rng, prims, specs, gens, 100)
-    n_evals, (bad,) = _sweep(inputs, inf.n_relation_residual)
-    checks.append(Check("relations-R1-and-low-degree", bad == 0,
-                        f"R1(2..{max_n}) + low2..low4; {n_evals} evaluations"))
+    checks.append(_check("relations-R1-and-low-degree",
+                         lambda n, bad: f"R1(2..{max_n}) + low2..low4; {n} evaluations",
+                         inputs, inf.n_relation_residual))
 
     relations = [("R2", 3), ("R2", 4), ("R2", 5), ("R3", 3, 3), ("R3", 3, 4), ("R3", 4, 3), ("R3", 4, 4)]
     specs = [(rel, inf.n_relation_arity(rel)) for rel in relations]
     inputs = _relation_inputs(rng, prims, specs, gens[:1], 25)
-    n_evals, (bad,) = _sweep(inputs, inf.n_relation_residual)
-    checks.append(Check("relations-R2-R3-reconstructed", bad == 0,
-                        f"index-repaired general forms; {n_evals} evaluations"))
+    checks.append(_check("relations-R2-R3-reconstructed",
+                         lambda n, bad: f"index-repaired general forms; {n} evaluations",
+                         inputs, inf.n_relation_residual))
 
     lemmas = [(name, 3) for name in ("lemma_i", "lemma_ii")]
     inductions = [(name, arity) for name in ("ind_i", "ind_ii") for arity in range(2, 6)]
@@ -334,9 +316,9 @@ def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED):
         _relation_inputs(rng, prims, lemmas, gens, 100),
         _relation_inputs(rng, prims, inductions, gens, 50),
     )
-    n_evals, (bad,) = _sweep(inputs, inf.n_aux_residual)
-    checks.append(Check("auxiliary-identities", bad == 0,
-                        f"lemma and induction identities; {n_evals} evaluations"))
+    checks.append(_check("auxiliary-identities",
+                         lambda n, bad: f"lemma and induction identities; {n} evaluations",
+                         inputs, inf.n_aux_residual))
 
     bad = []
     for d, colors in ((1, ["a"]), (2, ["a", "b"])):
@@ -371,31 +353,23 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
         for n in range(1, max(5, max_degree - 1))
     }
 
-    n_triples, bad = _sweep(
-        _graded(words, 3, max_degree), *_dialgebra_laws(mat.m_dot, mat.m_circ)
-    )
-    checks.append(Check("word-matching-laws-exhaustive", sum(bad) == 0,
-                        f"{n_triples} word triples (d=2), total degree <= {max_degree}, laws hold on the nose"))
+    checks.append(_check("word-matching-laws-exhaustive",
+                         lambda n, bad: f"{n} word triples (d=2), total degree <= {max_degree}, laws hold on the nose",
+                         _graded(words, 3, max_degree), *_dialgebra_laws(mat.m_dot, mat.m_circ)))
 
     word = lambda rng: rng.choice(words[rng.randint(1, 4)])
     triples = ([_random_element(rng, word, 0.5) for _ in range(3)] for _ in range(60))
-    _, bad = _sweep(
-        triples,
-        partial(associativity_fails, mat.word_star),
-        lambda x, y, z: infinitesimal_law(mat._coproduct_word, mat.word_star, 0, x, y),
-    )
-    checks.append(Check("word-star-joni-rota", sum(bad) == 0,
-                        "∗ = ∘ − · associative with no x⊗y coproduct term; 60 random triples"))
+    checks.append(_check("word-star-joni-rota",
+                         "∗ = ∘ − · associative with no x⊗y coproduct term; 60 random triples",
+                         triples, partial(associativity_fails, mat.word_star),
+                         lambda x, y, z: infinitesimal_law(mat._coproduct_word, mat.word_star, 0, x, y)))
 
     trees2 = {d: ts[:16] for d, ts in _tree_pool(5, ["a", "b"]).items()}
     pairs = (_terms(t, w) for t, w in _graded(trees2, 2, 6))
-    n_pairs, bad = _sweep(
-        pairs,
-        partial(homomorphism_fails, mat.normalize_lin, dot, mat.word_dot),
-        partial(homomorphism_fails, mat.normalize_lin, circle, mat.word_circ),
-    )
-    checks.append(Check("quotient-homomorphism", sum(bad) == 0,
-                        f"normalize intertwines both products; {n_pairs} pairs"))
+    checks.append(_check("quotient-homomorphism",
+                         lambda n, bad: f"normalize intertwines both products; {n} pairs", pairs,
+                         partial(homomorphism_fails, mat.normalize_lin, dot, mat.word_dot),
+                         partial(homomorphism_fails, mat.normalize_lin, circle, mat.word_circ)))
 
     def normalized(key: Tensor) -> Tensor:
         return Tensor(mat.normalize(key.legs[0]), mat.normalize(key.legs[1]))
@@ -403,33 +377,30 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
     trees = (
         (t,) for n in range(1, 7) for t in enumerate_trees(n, ["a", "b"] if n <= 3 else ["a"])
     )
-    n_trees, (bad,) = _sweep(trees, lambda t: (
-        mat.word_coproduct(LinComb.term(mat.normalize(t)))
-        != inf.coproduct(LinComb.term(t)).map_keys(normalized)
-    ))
-    checks.append(Check("coproduct-commuting-square", bad == 0,
-                        f"word coproduct of the image = image of the tree coproduct; {n_trees} trees to degree 6"))
+    checks.append(_check("coproduct-commuting-square",
+                         lambda n, bad: f"word coproduct of the image = image of the tree coproduct; {n} trees to degree 6",
+                         trees, lambda t: (
+                             mat.word_coproduct(LinComb.term(mat.normalize(t)))
+                             != inf.coproduct(LinComb.term(t)).map_keys(normalized)
+                         )))
 
-    counts = [len(mat.compositions(n)) for n in range(1, 13)]
-    ok = counts == [2 ** (n - 1) for n in range(1, 13)]
-    checks.append(Check("composition-count", ok,
-                        "enumerated 2^(n-1) for n <= 12; NOTE: differs from the stated 2^n"))
+    checks.append(_check("composition-count",
+                         "enumerated 2^(n-1) for n <= 12; NOTE: differs from the stated 2^n",
+                         ((n,) for n in range(1, 13)),
+                         lambda n: len(mat.compositions(n)) != 2 ** (n - 1)))
 
     pairs = itertools.product(words[1] + words[2] + words[3], repeat=2)
-    _, bad = _sweep(
-        pairs,
-        partial(homomorphism_fails, mat.word_shape, mat.m_dot, mat.comp_dot),
-        partial(homomorphism_fails, mat.word_shape, mat.m_circ, mat.comp_circ),
-    )
-    checks.append(Check("composition-homomorphism", sum(bad) == 0,
-                        "block shapes intertwine word and composition products"))
+    checks.append(_check("composition-homomorphism",
+                         "block shapes intertwine word and composition products", pairs,
+                         partial(homomorphism_fails, mat.word_shape, mat.m_dot, mat.comp_dot),
+                         partial(homomorphism_fails, mat.word_shape, mat.m_circ, mat.comp_circ)))
 
     word_pair = lambda rng: Tensor(*(rng.choice(words[rng.randint(1, 3)]) for _ in range(2)))
     word_square = partial(mat.tensor_square_star, dot_fn=mat.m_dot, circ_fn=mat.m_circ)
     triples = ([_random_element(rng, word_pair, 0.5) for _ in range(3)] for _ in range(40))
-    _, (bad,) = _sweep(triples, partial(associativity_fails, word_square))
-    checks.append(Check("tensor-square-star-associative", bad == 0,
-                        "40 random triples in the word dialgebra tensor square"))
+    checks.append(_check("tensor-square-star-associative",
+                         "40 random triples in the word dialgebra tensor square",
+                         triples, partial(associativity_fails, word_square)))
 
     left_zero = lambda p, q: p
     right_zero = lambda p, q: q
@@ -449,30 +420,29 @@ def _semihom_checks(rng) -> list[Check]:
     m = 8
     A = mat.truncated_polynomial_algebra(m)
 
-    _, (bad,) = _sweep(((A.basis(n),) for n in range(m - 1)), A.coderivation_residual)
-    checks.append(Check("polynomial-coderivation", bad == 0,
-                        f"Δ(R(Xⁿ)) matches for n <= {m - 2} (truncation-safe inputs)"))
+    checks.append(_check("polynomial-coderivation",
+                         f"Δ(R(Xⁿ)) matches for n <= {m - 2} (truncation-safe inputs)",
+                         ((A.basis(n),) for n in range(m - 1)), A.coderivation_residual))
 
     pairs = ((A.basis(i), A.basis(j)) for i in range(m) for j in range(m) if i + j + 1 < m)
-    n_pairs, bad = _sweep(pairs, A.bimatching_residual, A.mult_residual)
-    checks.append(Check("polynomial-bimatching", sum(bad) == 0,
-                        f"Δ(x∘y) = Δ(x)∗Δ(y) and Δ(x·y) = Δ(x)·Δ(y) on {n_pairs} truncation-safe basis pairs"))
+    checks.append(_check("polynomial-bimatching",
+                         lambda n, bad: f"Δ(x∘y) = Δ(x)∗Δ(y) and Δ(x·y) = Δ(x)·Δ(y) on {n} truncation-safe basis pairs",
+                         pairs, A.bimatching_residual, A.mult_residual))
 
     triples = (
         [A.vector([rng.randint(-2, 2) for _ in range(m)]) for _ in range(3)] for _ in range(30)
     )
-    _, bad = _sweep(triples, *_dialgebra_laws(A.dot, A.circ))
-    checks.append(Check("polynomial-matching-laws", sum(bad) == 0,
-                        "the induced pair is a matching dialgebra; 30 random triples"))
+    checks.append(_check("polynomial-matching-laws",
+                         "the induced pair is a matching dialgebra; 30 random triples",
+                         triples, *_dialgebra_laws(A.dot, A.circ)))
 
     # R(x) = a·x on a tiny group algebra (basis 1, g with g² = 1)
     dot_table = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
     B = mat.left_multiplication_semihom(dot_table, [1, 1])
     a = B.r(B.basis(0))
     pairs = ([B.vector([rng.randint(-2, 2) for _ in range(2)]) for _ in range(2)] for _ in range(20))
-    _, (bad,) = _sweep(pairs, lambda x, y: B.circ(x, y) != B.dot(x, B.dot(a, y)))
-    checks.append(Check("left-multiplication-semihom", bad == 0,
-                        "R(x) = a·x induces x∘y = x·a·y"))
+    checks.append(_check("left-multiplication-semihom", "R(x) = a·x induces x∘y = x·a·y",
+                         pairs, lambda x, y: B.circ(x, y) != B.dot(x, B.dot(a, y))))
     return checks
 
 
@@ -493,67 +463,64 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
     def small_pairs():
         return (_terms(p, q) for p, q in itertools.product(basis_small, repeat=2))
 
-    _, (bad,) = _sweep(
-        (_terms(p) for p in basis_full), lambda x: mul(e, x) != x or mul(x, e) != x
-    )
-    checks.append(Check("path-unit", bad == 0,
-                        f"e = Σ p[i,i] is a two-sided unit on {len(basis_full)} basis paths"))
+    def full_basis():
+        return (_terms(p) for p in basis_full)
+
+    checks.append(_check("path-unit",
+                         f"e = Σ p[i,i] is a two-sided unit on {len(basis_full)} basis paths",
+                         full_basis(), lambda x: mul(e, x) != x or mul(x, e) != x))
 
     # chained triples keep the sweep meaningful: unmatched endpoints give 0 = 0
     ends = defaultdict(list)
     for p in basis_small:
         ends[p.points[0], p.points[-1]].append(p)
+
+    def chained_triples():
+        return (
+            pqr
+            for a, b, c, d in itertools.product(S, repeat=4)
+            for pqr in itertools.product(ends[a, b], ends[b, c], ends[c, d])
+        )
+
     # on bare keys: a chained product is never None
-    triples = (
-        pqr
-        for a, b, c, d in itertools.product(S, repeat=4)
-        for pqr in itertools.product(ends[a, b], ends[b, c], ends[c, d])
-    )
-    n_triples, (mul_bad, circ_bad, match_bad) = _sweep(
-        triples, *_dialgebra_laws(pth._mul_paths, pth._circ_paths)
-    )
-    checks.append(Check("path-associativity-exhaustive", mul_bad + circ_bad == 0,
-                        f"both products on {n_triples} chained basis triples, interior <= 2"))
-    checks.append(Check("path-matching-laws-exhaustive", match_bad == 0,
-                        f"both matching laws on {n_triples} chained basis triples, interior <= 2"))
+    mul_assoc, circ_assoc, matching = _dialgebra_laws(pth._mul_paths, pth._circ_paths)
+    checks.append(_check("path-associativity-exhaustive",
+                         lambda n, bad: f"both products on {n} chained basis triples, interior <= 2",
+                         chained_triples(), mul_assoc, circ_assoc))
+    checks.append(_check("path-matching-laws-exhaustive",
+                         lambda n, bad: f"both matching laws on {n} chained basis triples, interior <= 2",
+                         chained_triples(), matching))
 
     path = lambda rng: rng.choice(basis_full)
     triples = ([_random_element(rng, path, 0.6) for _ in range(3)] for _ in range(120))
-    _, bad = _sweep(triples, *_dialgebra_laws(mul, circ))
-    checks.append(Check("path-laws-random-lincombs", sum(bad) == 0,
-                        f"120 random linear-combination triples, interior <= {max_interior}"))
+    checks.append(_check("path-laws-random-lincombs",
+                         f"120 random linear-combination triples, interior <= {max_interior}",
+                         triples, *_dialgebra_laws(mul, circ)))
 
-    _, bad = _sweep(
-        small_pairs(),
-        lambda x, y: pth.path_R(mul(x, y)) != mul(pth.path_R(x), y),
-        lambda x, y: circ(x, y) != mul(x, pth.path_R(y)),
-    )
-    checks.append(Check("path-R-semihom", sum(bad) == 0,
-                        f"R(x·y) = R(x)·y and x∘y = x·R(y) on {len(basis_small) ** 2} basis pairs"))
+    checks.append(_check("path-R-semihom",
+                         lambda n, bad: f"R(x·y) = R(x)·y and x∘y = x·R(y) on {n} basis pairs",
+                         small_pairs(),
+                         lambda x, y: pth.path_R(mul(x, y)) != mul(pth.path_R(x), y),
+                         lambda x, y: circ(x, y) != mul(x, pth.path_R(y))))
 
     edges = (_terms(pth.Path((a, b))) for a in S for b in S)
-    _, (bad,) = _sweep(edges, lambda p: pth.path_coproduct(p) != tensor(p, p))
-    checks.append(Check("path-grouplike", bad == 0, "Δ(p[a,b]) = p[a,b] ⊗ p[a,b]"))
+    checks.append(_check("path-grouplike", "Δ(p[a,b]) = p[a,b] ⊗ p[a,b]",
+                         edges, lambda p: pth.path_coproduct(p) != tensor(p, p)))
 
-    _, (coassoc_bad, coder_bad) = _sweep(
-        (_terms(p) for p in basis_full),
-        pth.path_coassociativity_residual,
-        pth.path_coderivation_residual,
-    )
-    checks.append(Check("path-coassociativity", coassoc_bad == 0,
-                        f"exhaustive on {len(basis_full)} paths, interior <= {max_interior}"))
-    checks.append(Check("path-coderivation", coder_bad == 0,
-                        f"Δ∘R = (R⊗id + id⊗R)∘Δ exhaustively on {len(basis_full)} paths"))
+    checks.append(_check("path-coassociativity",
+                         f"exhaustive on {len(basis_full)} paths, interior <= {max_interior}",
+                         full_basis(), pth.path_coassociativity_residual))
+    checks.append(_check("path-coderivation",
+                         f"Δ∘R = (R⊗id + id⊗R)∘Δ exhaustively on {len(basis_full)} paths",
+                         full_basis(), pth.path_coderivation_residual))
 
-    _, (bad,) = _sweep(small_pairs(), lambda x, y: pth.path_mult_residual(x, y, "dot"))
-    checks.append(Check("path-mult-diagnostic-dot", bad == 0,
-                        f"Δ(x·y) − Δ(x)·Δ(y): zero on all {len(basis_small) ** 2} swept pairs"
-                        if bad == 0 else
-                        f"Δ(x·y) − Δ(x)·Δ(y): nonzero on {bad} pairs"))
+    checks.append(_check("path-mult-diagnostic-dot",
+                         lambda n, bad: f"Δ(x·y) − Δ(x)·Δ(y): zero on all {n} swept pairs" if bad == 0
+                         else f"Δ(x·y) − Δ(x)·Δ(y): nonzero on {bad} pairs",
+                         small_pairs(), lambda x, y: pth.path_mult_residual(x, y, "dot")))
 
     x = LinComb.term(pth.Path(("a", "x")))
     y = LinComb.term(pth.Path(("x", "b")))
-    got = pth.path_mult_residual(x, y, "circ")
     expected = LinComb(
         [
             (Tensor(pth.Path(("a", "b")), pth.Path(("a", "x", "b"))), 1),
@@ -561,16 +528,14 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
             (Tensor(pth.Path(("a", "x", "b")), pth.Path(("a", "x", "b"))), -1),
         ]
     )
-    checks.append(Check("path-mult-diagnostic-circ", got == expected,
-                        "componentwise ∘-multiplicativity fails on p[a,x], p[x,b] with the derived residual"))
+    checks.append(_check("path-mult-diagnostic-circ",
+                         "componentwise ∘-multiplicativity fails on p[a,x], p[x,b] with the derived residual",
+                         [(x, y)], lambda p, q: pth.path_mult_residual(p, q, "circ") != expected))
 
-    n_pairs, (bad,) = _sweep(
-        itertools.chain(small_pairs(), [(e, e)]), pth.path_bimatching_residual
-    )
-    checks.append(Check("path-bimatching-diagnostic", bad == 0,
-                        f"Δ(x∘y) − Δ(x)∗Δ(y): zero on all {n_pairs} swept pairs (incl. e,e)"
-                        if bad == 0 else
-                        f"Δ(x∘y) − Δ(x)∗Δ(y): nonzero on {bad} pairs"))
+    checks.append(_check("path-bimatching-diagnostic",
+                         lambda n, bad: f"Δ(x∘y) − Δ(x)∗Δ(y): zero on all {n} swept pairs (incl. e,e)" if bad == 0
+                         else f"Δ(x∘y) − Δ(x)∗Δ(y): nonzero on {bad} pairs",
+                         itertools.chain(small_pairs(), [(e, e)]), pth.path_bimatching_residual))
     return checks
 
 

@@ -139,8 +139,9 @@ def test_contract_errors():
     t = parse_tree("(a,b)")
     with pytest.raises(ValueError):
         contract(t, [])
-    with pytest.raises(KeyError):
-        contract(t, [(5,)])
+    for ids in ([(5,)], [(0,), (5,)], [(0, 0)]):
+        with pytest.raises(KeyError):
+            contract(t, ids)
 
 
 def test_contract_nested_subsets():

@@ -1,13 +1,54 @@
-"""The sweep domains of ``cab.verify`` against the loops they replace."""
+"""``cab.verify``: the check builder, which law each check reports, and the
+sweep domains against the loops they replace."""
 
 import itertools
 
 import pytest
 
+from cab import infinitesimal
 from cab import paths as pth
+from cab import verify
 from cab.matching import enumerate_words
 from cab.trees import enumerate_trees
-from cab.verify import _graded, suite_path
+from cab.verify import Check, _check, _graded, suite_axioms, suite_coalgebra, suite_path
+
+
+def test_check_runs_every_law_on_every_input_lazily_in_order():
+    log = []
+
+    def inputs():
+        for i in range(3):
+            log.append(("draw", i))
+            yield i, 10 * i
+
+    def law(tag, fails_on):
+        return lambda i, j: log.append((tag, i, j)) or i in fails_on
+
+    check = _check("c", lambda n, bad: f"{n} inputs, {bad} failures",
+                   inputs(), law("p", {1}), law("q", {1, 2}))
+    assert log == [
+        ("draw", 0), ("p", 0, 0), ("q", 0, 0),
+        ("draw", 1), ("p", 1, 10), ("q", 1, 10),
+        ("draw", 2), ("p", 2, 20), ("q", 2, 20),
+    ]
+    assert check == Check("c", False, "3 inputs, 3 failures")
+    assert _check("d", "fixed", [(1, 2)], lambda i, j: 0) == Check("d", True, "fixed")
+
+
+def _failing(checks):
+    return sorted(c.name for c in checks if not c.ok)
+
+
+def test_split_axiom_checks_report_only_their_own_law(monkeypatch):
+    assert _failing(suite_axioms(max_degree=3)) == []
+    monkeypatch.setattr(verify, "compatibility_fails", lambda *args: True)
+    assert _failing(suite_axioms(max_degree=3)) == ["compatibility-exhaustive", "compatibility-random"]
+
+
+def test_split_coalgebra_checks_report_only_their_own_law(monkeypatch):
+    # the exhaustive inputs are single trees, so only the random elements fail
+    monkeypatch.setattr(infinitesimal, "coassociativity_residual", lambda x: len(x) == 2)
+    assert _failing(suite_coalgebra(max_degree=3)) == ["coassociativity"]
 
 
 def _pairs_by_loops(pool, total, cap=None):
