@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Sequence
 from .linear import (
     LinComb,
     Scalar,
+    _wrap,
     associativity_fails,
     bilinear,
     bilinear_keys,
@@ -33,7 +34,6 @@ from .trees import (
     Tree,
     factorize,
     is_irreducible,
-    leaf,
     root_concat,
     unwrap_root,
     wrap_root,
@@ -78,16 +78,18 @@ def circle_trees(t: Tree, w: Tree) -> LinComb:
     if len(w.children) == 1 and not w.children[0][1]:  # a generator
         result = LinComb.term(wrap_root(t, w.children[0][0]))
     elif is_irreducible(w):
+        # (t∘u)∘a hangs each term of t∘u below a; every relabel below is
+        # injective, so no two terms merge
         u, a = unwrap_root(w)
-        result = circle(circle_trees(t, u), LinComb.term(leaf(a)))
+        result = _wrap({wrap_root(k, a): c for k, c in circle_trees(t, u).items()})
     else:
         # w = w'·w'' (first factor against the rest), by the compatibility
         # identity: t∘w = (t∘w')·w'' + (t·w')∘w'' − t·(w'∘w'')
         w1, w2 = Tree(w.children[:1]), Tree(w.children[1:])
         result = LinComb.sum([
-            (dot(circle_trees(t, w1), LinComb.term(w2)), 1),
+            (_wrap({root_concat(k, w2): c for k, c in circle_trees(t, w1).items()}), 1),
             (circle_trees(root_concat(t, w1), w2), 1),
-            (dot(LinComb.term(t), circle_trees(w1, w2)), -1),
+            (_wrap({root_concat(t, k): c for k, c in circle_trees(w1, w2).items()}), -1),
         ])
 
     _CIRCLE_CACHE[key] = result

@@ -12,10 +12,12 @@ compares, hashes and renders by its value (``2 == Fraction(2)``,
 
 Basis keys only need to be hashable and to render a canonical text via
 ``str``; the text is used for deterministic term ordering in output and for
-pivot selection during rank computation.  The keys of this package (``Tree``,
-``Word``, ``Path``, ``Tensor``) hash and compare their nested tuples, so a
-dict lookup never renders text; trees, words and paths render theirs only
-when it is first read, and keep it.
+pivot selection during rank computation.  No dict lookup renders text.
+``Tree`` and ``Tensor`` are interned, one object per nested tuple, so they
+keep ``object``'s identity equality and hash, computed in C; the flat keys
+``Word`` and ``Path`` hash their tuple once, when built, and compare it.
+Trees, words and paths render their text only when it is first read, and
+keep it.
 
 All accumulation goes through one in-place merge (``_merge``), which adds or
 subtracts coefficients key by key and drops any that cancel.  A new structure
@@ -198,21 +200,30 @@ class LinComb:
 
 
 class Tensor:
-    """A basis key of a tensor power: an ordered tuple of component keys."""
+    """A basis key of a tensor power: an ordered tuple of component keys.
 
-    __slots__ = ("legs", "_hash")
+    Interned like ``Tree``: ``Tensor(*legs)`` returns the one tensor key
+    built from equal legs, so equality and hash are ``object``'s identity.
+    The table is never cleared, since identity equality depends on it.
+    """
 
-    def __init__(self, *legs):
-        if len(legs) < 2:
-            raise ValueError("a tensor key needs at least two legs")
-        self.legs = legs
-        self._hash = hash(legs)
+    __slots__ = ("legs",)
 
-    def __eq__(self, other):
-        return isinstance(other, Tensor) and self.legs == other.legs
+    _interned: dict = {}  # legs tuple -> its one Tensor
 
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, *legs):
+        key = cls._interned.get(legs)
+        if key is None:
+            if len(legs) < 2:
+                raise ValueError("a tensor key needs at least two legs")
+            key = object.__new__(cls)
+            key.legs = legs
+            # atomic under the GIL: two threads building one key get one object
+            key = cls._interned.setdefault(legs, key)
+        return key
+
+    def __reduce__(self):
+        return type(self), self.legs
 
     def __str__(self):
         return " ⊗ ".join(str(leg) for leg in self.legs)

@@ -48,7 +48,7 @@ class Word(_Key):
     rendered on demand.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "_hash")
 
     def __init__(self, blocks):
         blocks = tuple(map(tuple, blocks))
@@ -67,7 +67,12 @@ class Word(_Key):
     def __eq__(self, other):
         return isinstance(other, Word) and self.blocks == other.blocks
 
-    __hash__ = _Key.__hash__
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not restored: a string's hash differs between processes
+        return type(self), (self.blocks,)
 
     def __repr__(self):
         return f"Word<{self.text}>"

@@ -46,7 +46,7 @@ class Path(_Key):
     the text is rendered on demand.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "_hash")
 
     def __init__(self, points):
         points = tuple(points)
@@ -61,7 +61,12 @@ class Path(_Key):
     def __eq__(self, other):
         return isinstance(other, Path) and self.points == other.points
 
-    __hash__ = _Key.__hash__
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not restored: a string's hash differs between processes
+        return type(self), (self.points,)
 
     def __repr__(self):
         return f"Path{self.points!r}"

@@ -16,17 +16,17 @@ Canonical rendering uses no whitespace and omits '()' after leaves, e.g.
 ``(b(a),c)`` is the tree whose root has children b (itself carrying a) and c.
 
 Internally a non-root vertex is a pair ``(color, children)`` with children a
-tuple of vertices; a ``Tree`` wraps the tuple of root children.  Vertices are
-addressed by their path of 0-based child indices from the root.
+tuple of vertices; a ``Tree`` wraps the tuple of root children, and there is
+one ``Tree`` object per such tuple.  Vertices are addressed by their path of
+0-based child indices from the root.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # the one pattern for colors, word letters and path points; use it with
 # ``fullmatch`` on a whole name, or ``match`` at an offset when tokenizing
@@ -62,27 +62,23 @@ def _render_vertex(vertex) -> str:
 class _Key:
     """Base of the basis keys ``Tree``, ``Word`` and ``Path``.
 
-    A key hashes its nested tuple once, when built, and renders its canonical
-    ``text`` the first time it is read.  The ``text`` slot stays unset until
-    then; ``__getattr__`` (consulted only for an unset attribute) fills it
-    through the subclass's ``_render``, so later reads are plain slot reads
-    and return the same object.
+    A key renders its canonical ``text`` the first time it is read.  The
+    ``text`` slot stays unset until then; ``__getattr__`` (consulted only for
+    an unset attribute) fills it through the subclass's ``_render``, so later
+    reads are plain slot reads and return the same object.
 
-    Each subclass sets ``_hash`` in ``__init__``, defines ``_render`` and its
-    own ``__eq__`` on its tuple slot, and binds ``__hash__ = _Key.__hash__``
-    again, since defining ``__eq__`` resets it to None.
+    Each subclass defines ``_render``, and its own equality and hash: ``Word``
+    and ``Path`` compare their flat tuple and hash it once, when built;
+    ``Tree`` is interned, so it keeps ``object``'s identity equality and hash.
     """
 
-    __slots__ = ("text", "_hash")
+    __slots__ = ("text",)
 
     def __getattr__(self, name):
         if name != "text":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         text = self.text = self._render()
         return text
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         return self.text
@@ -91,20 +87,33 @@ class _Key:
 class Tree(_Key):
     """An immutable colored planar rooted tree of degree >= 1.
 
-    Two trees are equal exactly when their nested ``children`` tuples are,
-    and the hash is that of the tuple.  The canonical text is rendered on
-    demand; it alone does not decide equality, because a color holding ','
-    or '(' would render like a different tree.  ``degree`` counts the
-    vertices each time it is read.
+    Trees are interned: ``Tree(children)`` returns the one tree built from an
+    equal ``children`` tuple, so two trees are equal exactly when they are the
+    same object, and ``object``'s identity equality and hash, computed in C,
+    decide every dict lookup.  The table is never cleared, since identity
+    equality depends on it.  The canonical text is rendered on demand; it
+    alone does not decide equality, because a color holding ',' or '(' would
+    render like a different tree.  ``degree`` counts the vertices each time it
+    is read.
     """
 
     __slots__ = ("children",)
 
-    def __init__(self, children: tuple):
-        if not children:
-            raise ValueError("a tree needs at least one non-root vertex")
-        self.children = children
-        self._hash = hash(children)
+    _interned: dict = {}  # children tuple -> its one Tree
+
+    def __new__(cls, children: tuple):
+        tree = cls._interned.get(children)
+        if tree is None:
+            if not children:
+                raise ValueError("a tree needs at least one non-root vertex")
+            tree = object.__new__(cls)
+            tree.children = children
+            # atomic under the GIL: two threads building one tree get one object
+            tree = cls._interned.setdefault(children, tree)
+        return tree
+
+    def __reduce__(self):
+        return type(self), (self.children,)
 
     @property
     def degree(self) -> int:
@@ -112,11 +121,6 @@ class Tree(_Key):
 
     def _render(self) -> str:
         return "(" + ",".join(_render_vertex(v) for v in self.children) + ")"
-
-    def __eq__(self, other):
-        return isinstance(other, Tree) and self.children == other.children
-
-    __hash__ = _Key.__hash__
 
     def __repr__(self):
         return f"Tree{self.text}"
@@ -307,8 +311,18 @@ def _forest_shapes(n: int) -> tuple:
     return tuple(out)
 
 
-def _color_forest(shape, colors: Iterator[str]) -> tuple:
-    return tuple((next(colors), _color_forest(kids, colors)) for kids in shape)
+@lru_cache(maxsize=None)
+def _colored_forests(shape: tuple, palette: tuple) -> tuple:
+    """Every coloring of a forest shape, palette-lexicographic in preorder.
+
+    Memoised, so each colored subtree is built once and shared by every
+    forest that contains it.
+    """
+    if not shape:
+        return ((),)
+    firsts = [(c, k) for c in palette for k in _colored_forests(shape[0], palette)]
+    rests = _colored_forests(shape[1:], palette)
+    return tuple((v,) + r for v in firsts for r in rests)
 
 
 def enumerate_trees(n: int, colors: Sequence[str]) -> list[Tree]:
@@ -317,11 +331,7 @@ def enumerate_trees(n: int, colors: Sequence[str]) -> list[Tree]:
     if n < 1:
         raise ValueError("degree must be >= 1")
     palette = check_palette(colors)
-    out = []
-    for shape in _forest_shapes(n):
-        for coloring in itertools.product(palette, repeat=n):
-            out.append(Tree(_color_forest(shape, iter(coloring))))
-    return out
+    return [Tree(f) for shape in _forest_shapes(n) for f in _colored_forests(shape, palette)]
 
 
 def enumerate_irreducible(n: int, colors: Sequence[str]) -> list[Tree]:
@@ -329,8 +339,6 @@ def enumerate_irreducible(n: int, colors: Sequence[str]) -> list[Tree]:
     if n < 1:
         raise ValueError("degree must be >= 1")
     palette = check_palette(colors)
-    out = []
-    for shape in _forest_shapes(n - 1):
-        for coloring in itertools.product(palette, repeat=n):
-            out.append(Tree(_color_forest((shape,), iter(coloring))))
-    return out
+    return [
+        Tree(f) for shape in _forest_shapes(n - 1) for f in _colored_forests((shape,), palette)
+    ]

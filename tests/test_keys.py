@@ -1,19 +1,31 @@
 """Basis keys built every way the package builds them.
 
-``Tree``, ``Word`` and ``Path`` hash their tuple when built and render their
-text only when first read.  Whatever built a key, its ``degree``, ``str``,
-hash and equality must agree with the key obtained by parsing ``str(key)``
-again, and ``text`` is rendered once.
+``Tree`` and ``Tensor`` are interned: equal keys built by any route are one
+object, and equality and hash are ``object``'s.  ``Word`` and ``Path`` hash
+their tuple when built.  Every key renders its text only when first read.
+Whatever built a key, its ``degree``, ``str``, hash and equality must agree
+with the key obtained by parsing ``str(key)`` again, and ``text`` is rendered
+once.
 """
 
+import copy
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from functools import reduce
 
+from cab.infinitesimal import _fold_dot, coproduct, coproduct_closed, coproduct_tree
+from cab.linear import LinComb, Tensor, apply_on_leg, tensor
 from cab.matching import Word, enumerate_words, m_circ, m_dot, normalize, parse_word
 from cab.paths import Path, _circ_paths, _coproduct_path, _mul_paths, enumerate_paths, parse_path
 from cab.trees import (
     COLOR_RE,
     Tree,
     canonical_vertex_order,
+    contract,
     contract_map,
     enumerate_irreducible,
     enumerate_trees,
@@ -45,9 +57,15 @@ def trees_up_to(n):
     return [t for d in range(1, n + 1) for t in enumerate_trees(d, COLORS)]
 
 
+def _copy_forest(vertices):
+    return tuple((color, _copy_forest(kids)) for color, kids in vertices)
+
+
 def fresh(t):
-    """A copy of t that has not rendered its text yet."""
-    return Tree(t.children)
+    """t built again from a new copy of its nested tuple: t itself."""
+    again = Tree(_copy_forest(t.children))
+    assert again is t and again.children is t.children
+    return again
 
 
 def test_parsed_and_enumerated_trees():
@@ -116,7 +134,7 @@ def test_path_keys():
 
 def test_each_key_hashes_its_tuple():
     t, w, p = parse_tree("(b(a),c)"), parse_word("a.b|c"), parse_path("p[a,x,b]")
-    assert hash(t) == hash(t.children)
+    assert type(t).__hash__ is object.__hash__ and type(t).__eq__ is object.__eq__
     assert hash(w) == hash(w.blocks)
     assert hash(p) == hash(p.points)
     assert Word([["a", "b"], ["c"]]) == w  # blocks given as lists become tuples
@@ -126,3 +144,100 @@ def test_unknown_attribute_still_raises():
     t = parse_tree("(a)")
     assert not hasattr(t, "colour")
     assert not hasattr(Word([("a",)]), "points")
+
+
+def test_equal_trees_and_tensors_are_one_object():
+    small = trees_up_to(4)
+    for t in small:
+        assert parse_tree(t.text) is t is parse_tree(" " + t.text.replace(",", " , "))
+        assert reduce(root_concat, factorize(t)) is t
+        assert contract(t, canonical_vertex_order(t)) is t
+        for f in factorize(t):
+            assert f is parse_tree(f.text)
+        for color in COLORS:
+            assert wrap_root(t, color) is parse_tree(f"({color}{t.text})")
+            u, c = unwrap_root(wrap_root(t, color))
+            assert u is t and c == color
+        for left, right in itertools.combinations(canonical_vertex_order(t), 2):
+            sub = contract(t, [left, right])
+            assert sub is parse_tree(sub.text)
+    for n in range(1, 5):
+        trees = enumerate_trees(n, COLORS)
+        assert all(a is b for a, b in zip(trees, enumerate_trees(n, list(COLORS))))
+        assert all(t is parse_tree(t.text) for t in trees)
+        irreducible = [t for t in trees if is_irreducible(t)]
+        assert all(a is b for a, b in zip(irreducible, enumerate_irreducible(n, COLORS)))
+
+    for s, t in itertools.product(trees_up_to(3), repeat=2):
+        st = parse_tree("(" + s.text[1:-1] + "," + t.text[1:-1] + ")")
+        assert root_concat(s, t) is st
+        assert _fold_dot(Tensor(s, t)) is st
+        assert Tensor(s, t) is Tensor(parse_tree(s.text), parse_tree(t.text))
+        [(key, _)] = tensor(LinComb.term(s), LinComb.term(t)).items()
+        assert key is Tensor(s, t)
+        [(key, _)] = apply_on_leg(LinComb.term, LinComb.term(Tensor(s, t)), 1).items()
+        assert key is Tensor(s, t)
+    for t in small:
+        closed = coproduct_closed(t)
+        assert coproduct_tree(t) == closed
+        for key, _ in coproduct_tree(t).items():
+            assert key is Tensor(*(parse_tree(leg.text) for leg in key.legs))
+            assert closed.coeff(key) != 0
+    assert Tensor.__hash__ is object.__hash__ and Tensor.__eq__ is object.__eq__
+
+
+def test_threads_building_equal_trees_get_one_object():
+    # a palette no other test enumerates, so the threads meet a cold table
+    palette = ("q0", "q1")
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def build(i):
+        start.wait()
+        results[i] = enumerate_trees(5, palette)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results[0]) == 1344
+    for other in results[1:]:
+        assert len(other) == 1344
+        assert all(a is b for a, b in zip(results[0], other))
+
+
+def test_copies_and_pickles_of_a_key_are_the_key():
+    t = parse_tree("(b(a),c)")
+    keys = [t, Tensor(t, parse_tree("(a)")), Tensor(parse_word("a.b|c"), parse_path("p[a,x]"))]
+    for key in keys:
+        assert copy.copy(key) is key
+        assert copy.deepcopy(key) is key
+        assert pickle.loads(pickle.dumps(key)) is key
+    x = coproduct(LinComb([(t, 2), (parse_tree("(a(b,c))"), -1)]))
+    assert x
+    assert copy.deepcopy(x) == x
+    assert pickle.loads(pickle.dumps(x)) == x
+
+
+def test_flat_keys_pickled_by_another_process_hash_here():
+    # the hash of a tuple of strings differs between processes, so a pickle
+    # must rebuild the key rather than carry its hash
+    code = (
+        "import pickle, sys; from cab.matching import parse_word; from cab.paths import parse_path;"
+        "sys.stdout.buffer.write(pickle.dumps((parse_word('a.b|c'), parse_path('p[a,x,b]'))))"
+    )
+    for seed in ("1", "2"):  # at least one differs from this process's
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(sys.path))
+        data = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, check=True, timeout=60
+        ).stdout
+        word, path = pickle.loads(data)
+        assert {parse_word("a.b|c"): 1}.get(word) == 1
+        assert {parse_path("p[a,x,b]"): 1}.get(path) == 1

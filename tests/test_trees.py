@@ -1,5 +1,6 @@
 """Tree representation, grammar, vertex order, contraction, enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from cab.trees import (
     Tree,
     TreeSyntaxError,
+    _colored_forests,
+    _forest_shapes,
     canonical_vertex_order,
     catalan,
     contract,
@@ -192,6 +195,25 @@ def test_enumeration_deterministic_and_distinct():
     second = enumerate_trees(4, ["a", "b"])
     assert [t.text for t in first] == [t.text for t in second]
     assert len(set(first)) == len(first)
+
+
+def _fill_preorder(shape, colors):
+    """The forest of ``shape`` whose vertices take ``colors`` in preorder."""
+    return tuple((next(colors), _fill_preorder(kids, colors)) for kids in shape)
+
+
+def test_colored_forests_match_per_coloring_construction():
+    # the oracle builds each coloring on its own, palette-lexicographic in
+    # preorder, sharing no subtree
+    for d in (1, 2, 3):
+        palette = ("a", "b", "c")[:d]
+        for n in range(7):
+            for shape in _forest_shapes(n):
+                want = tuple(
+                    _fill_preorder(shape, iter(coloring))
+                    for coloring in itertools.product(palette, repeat=n)
+                )
+                assert _colored_forests(shape, palette) == want
 
 
 def test_enumerate_irreducible():
