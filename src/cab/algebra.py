@@ -16,6 +16,7 @@ the universal map from the tree algebra determined by a generator assignment.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import partial, reduce
 from typing import Callable, Mapping, Sequence
@@ -27,7 +28,7 @@ from .linear import (
     associativity_fails,
     bilinear,
     bilinear_keys,
-    compatibility_fails,
+    compatibility_law,
     linear_map,
 )
 from .trees import (
@@ -106,53 +107,44 @@ def lie_bracket(mul: Callable, x: LinComb, y: LinComb) -> LinComb:
     return mul(x, y) - mul(y, x)
 
 
-def _as_vector(coords: Sequence[Scalar], dim: int) -> tuple:
-    """Validated coordinates, entries int or Fraction."""
-    v = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords)
+def _vector(coords: Sequence[Scalar] | LinComb, dim: int) -> LinComb:
+    """``dim`` exact coordinates (other numbers become their ``Fraction``), or
+    a LinComb over the basis indices, as a validated LinComb over them."""
+    if isinstance(coords, LinComb):
+        if not all(isinstance(k, int) and 0 <= k < dim for k, _ in coords.items()):
+            raise ValueError(f"expected a LinComb over the basis indices 0..{dim - 1}")
+        return coords
+    v = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
     if len(v) != dim:
         raise ValueError(f"expected a vector of dimension {dim}, got {len(v)}")
-    return v
-
-
-def _as_table(table, dim: int) -> tuple:
-    """A dim x dim structure table of coordinate vectors."""
-    out = tuple(tuple(_as_vector(entry, dim) for entry in row) for row in table)
-    if any(len(row) != dim for row in out):
-        raise ValueError("tables must be square")
-    return out
-
-
-def _sparse(v: Sequence[Scalar]) -> LinComb:
-    """A coordinate vector as a LinComb over its basis indices."""
     return LinComb(enumerate(v))
 
 
-def _dense(x: LinComb, dim: int) -> tuple:
-    """The coordinates of a LinComb over the basis indices ``0..dim-1``."""
-    return tuple(x.coeff(k) for k in range(dim))
+def _rows(table, dim: int) -> tuple:
+    """A dim x dim structure table of coordinate vectors as rows of LinCombs."""
+    rows = tuple(tuple(_vector(entry, dim) for entry in row) for row in table)
+    if any(len(row) != dim for row in rows):
+        raise ValueError("tables must be square")
+    return rows
 
 
 class FinAlgebra:
     """A finite-dimensional algebra with two products given by structure tables.
 
-    ``dot_table[i][j]`` (resp. ``circ_table``) holds the coordinates of the
-    product of basis vectors e_i and e_j.  Elements are LinCombs over the
-    basis indices ``0..dim-1``; ``vector`` turns coordinates into one, and
-    the products extend the table rows (``_dot_key``/``_circ_key``)
-    bilinearly.  Construction rejects tables that are not associative or
-    that violate the compatibility identity, so the universal evaluation map
-    below lands in a genuine target.
+    ``dot_table[i][j]`` (resp. ``circ_table``) holds the coordinates of e_i
+    times e_j; the tables are kept once, as rows of LinCombs over the basis
+    indices ``0..dim-1``, which are the elements.  ``vector`` turns
+    coordinates into one.  Construction rejects tables that are not
+    associative or that violate the compatibility identity, so the universal
+    evaluation map below lands in a genuine target.
     """
 
     def __init__(self, dot_table, circ_table):
-        dim = len(dot_table)
+        self.dim = dim = len(dot_table)
         if dim == 0 or len(circ_table) != dim:
             raise ValueError("tables must be nonempty and of equal dimension")
-        self.dim = dim
-        self.dot_table = _as_table(dot_table, dim)
-        self.circ_table = _as_table(circ_table, dim)
-        self._dot_rows = tuple(tuple(map(_sparse, row)) for row in self.dot_table)
-        self._circ_rows = tuple(tuple(map(_sparse, row)) for row in self.circ_table)
+        self._dot_rows = _rows(dot_table, dim)
+        self._circ_rows = _rows(circ_table, dim)
         self._check_tables()
 
     @property
@@ -163,7 +155,7 @@ class FinAlgebra:
         return LinComb.term(i)
 
     def vector(self, coords: Sequence[Scalar]) -> LinComb:
-        return _sparse(_as_vector(coords, self.dim))
+        return _vector(coords, self.dim)
 
     def _dot_key(self, i: int, j: int) -> LinComb:
         return self._dot_rows[i][j]
@@ -179,15 +171,13 @@ class FinAlgebra:
 
     def _check_tables(self):
         es = [self.basis(i) for i in range(self.dim)]
-        for i, x in enumerate(es):
-            for j, y in enumerate(es):
-                for k, z in enumerate(es):
-                    if associativity_fails(self.dot, x, y, z):
-                        raise ValueError(f"dot table not associative at ({i},{j},{k})")
-                    if associativity_fails(self.circ, x, y, z):
-                        raise ValueError(f"circle table not associative at ({i},{j},{k})")
-                    if compatibility_fails(self.dot, self.circ, x, y, z):
-                        raise ValueError(f"tables not compatible at ({i},{j},{k})")
+        for (i, x), (j, y), (k, z) in itertools.product(enumerate(es), repeat=3):
+            if associativity_fails(self.dot, x, y, z):
+                raise ValueError(f"dot table not associative at ({i},{j},{k})")
+            if associativity_fails(self.circ, x, y, z):
+                raise ValueError(f"circle table not associative at ({i},{j},{k})")
+            if compatibility_law(self.dot, self.circ, x, y, z):
+                raise ValueError(f"tables not compatible at ({i},{j},{k})")
 
 
 def evaluate(target: FinAlgebra, assign: Mapping[str, Sequence[Scalar]], x: LinComb) -> LinComb:

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .linear import LinComb, to_records
-from .trees import check_palette, enumerate_trees, parse_tree
+from .trees import catalan, check_palette, enumerate_trees, parse_tree
 from .algebra import circle, dot, star
 from .infinitesimal import (
     coproduct,
@@ -29,6 +29,10 @@ from .paths import parse_path, path_circ, path_coproduct, path_mul, path_R
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
 
+# the largest basis `trees enum` or `prim-basis` builds; degree 7 over two colors fits
+MAX_BASIS_SIZE = 100_000
+
+
 class UsageError(Exception):
     pass
 
@@ -36,6 +40,14 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _check_basis_size(what: str, degree: int, palette, shift: int) -> None:
+    """Refuse, before it is built, a basis of d^n·c_{n−shift} > MAX_BASIS_SIZE."""
+    n = min(degree, 30)  # the count grows with n and passes the limit by n = 30
+    if n >= 1 and (size := len(palette) ** n * catalan(n - shift)) > MAX_BASIS_SIZE:
+        count = size if n == degree else f"more than {MAX_BASIS_SIZE}"
+        raise UsageError(f"degree {degree} gives {count} {what}, over the limit {MAX_BASIS_SIZE}")
 
 
 def _palette(arg: str) -> list[str]:
@@ -146,6 +158,7 @@ def _parse_op(name: str):
 
 def _cmd_trees(args) -> int:
     palette = _palette(args.colors)
+    _check_basis_size("trees", args.degree, palette, 0)
     trees = enumerate_trees(args.degree, palette)
     if args.json:
         print(json.dumps({"degree": args.degree, "count": len(trees),
@@ -174,6 +187,7 @@ def _cmd_coproduct(args) -> int:
 
 def _cmd_prim_basis(args) -> int:
     palette = _palette(args.colors)
+    _check_basis_size("primitives", args.degree, palette, 1)
     basis = primitive_basis(args.degree, palette)
     if args.json:
         print(json.dumps([to_records(x) for x in basis]))

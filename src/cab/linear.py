@@ -30,10 +30,10 @@ products and their tensor squares) is a key map returning a key or ``None``,
 extended with ``bilinear_keys``; no one-term LinComb is built per pair.
 
 The laws section writes each law of the paper once, over basis-level maps:
-coassociativity, coderivation, multiplicativity on the tensor square and the
-infinitesimal law return their residuals; associativity, the matching laws,
-compatibility and the homomorphism law are predicates that are true when the
-law fails.
+coassociativity, coderivation, multiplicativity on the tensor square, the
+infinitesimal law and compatibility return their residuals; associativity,
+the matching laws and the homomorphism law are predicates, true when the law
+fails, because the exhaustive sweeps also run them on bare keys.
 """
 
 from __future__ import annotations
@@ -294,10 +294,10 @@ def apply_on_leg(f: Callable, x: LinComb, leg: int) -> LinComb:
 # Each law of the paper is written once here; every algebra, public residual
 # and verify suite calls it.  ``delta`` is a basis-level coproduct (key →
 # LinComb of rank-2 Tensor keys), ``r`` a basis-level linear map, and products
-# act on whole elements.  The coalgebra laws return their residual; the
-# product laws are predicates, true when the law fails.  Associativity, the
-# matching laws and the homomorphism law take LinCombs or, under a key map,
-# bare keys (the exhaustive word and path sweeps run on keys).
+# act on whole elements.  The coalgebra laws and compatibility return their
+# residual.  Associativity, the matching laws and the homomorphism law are
+# predicates, true when the law fails: they also take bare keys under a key
+# map (the exhaustive word and path sweeps), where no residual can be formed.
 
 
 def coassociativity_law(delta: Callable, x: LinComb) -> LinComb:
@@ -334,6 +334,12 @@ def infinitesimal_law(
     ])
 
 
+def compatibility_law(dot: Callable, circ: Callable, x, y, z) -> LinComb:
+    """x∘(y·z) + x·(y∘z) − (x∘y)·z − (x·y)∘z."""
+    return LinComb.sum([(circ(x, dot(y, z)), 1), (dot(x, circ(y, z)), 1),
+                        (dot(circ(x, y), z), -1), (circ(dot(x, y), z), -1)])
+
+
 def associativity_fails(mul: Callable, x, y, z) -> bool:
     """(x∙y)∙z ≠ x∙(y∙z)."""
     return mul(mul(x, y), z) != mul(x, mul(y, z))
@@ -342,11 +348,6 @@ def associativity_fails(mul: Callable, x, y, z) -> bool:
 def matching_fails(dot: Callable, circ: Callable, x, y, z) -> bool:
     """(x·y)∘z ≠ x·(y∘z) or (x∘y)·z ≠ x∘(y·z)."""
     return circ(dot(x, y), z) != dot(x, circ(y, z)) or dot(circ(x, y), z) != circ(x, dot(y, z))
-
-
-def compatibility_fails(dot: Callable, circ: Callable, x, y, z) -> bool:
-    """x∘(y·z) + x·(y∘z) ≠ (x∘y)·z + (x·y)∘z."""
-    return circ(x, dot(y, z)) + dot(x, circ(y, z)) != dot(circ(x, y), z) + circ(dot(x, y), z)
 
 
 def homomorphism_fails(f: Callable, mul: Callable, target_mul: Callable, x, y) -> bool:

@@ -25,10 +25,11 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from .algebra import FinAlgebra, _as_table, _as_vector, _dense, _sparse
+from .algebra import FinAlgebra, _rows, _vector
 from .linear import (
     LinComb,
     Tensor,
+    bilinear,
     bilinear_keys,
     coassociativity_law,
     coderivation_law,
@@ -276,11 +277,11 @@ class SemiHomAlgebra(FinAlgebra):
     """A finite-dimensional associative algebra with a right semi-homomorphism.
 
     ``dot_table[i][j]`` holds coordinates of e_i·e_j; ``r_matrix`` holds R by
-    columns (``r_matrix[i]`` = coordinates of R(e_i)).  Construction verifies
-    R(x·y) = R(x)·y on all basis pairs, then hands the dot table and the
-    induced second product x∘y = x·R(y) to ``FinAlgebra``, which checks
-    associativity of both and their compatibility (the matching laws imply
-    it).  The pair (·,∘) is a matching dialgebra.
+    columns (``r_matrix[i]`` = coordinates of R(e_i)), kept as sparse rows
+    like a ``FinAlgebra``'s.  Construction verifies R(x·y) = R(x)·y on all
+    basis pairs, builds the circle rows e_i∘e_j = e_i·R(e_j) and checks both
+    products associative and compatible, once (the matching laws imply it).
+    The pair (·,∘) is a matching dialgebra.
 
     An optional coproduct table (``delta_table[i]`` = matrix of Δ(e_i) over
     e_j⊗e_k) enables the coderivation and bialgebra diagnostics.  Their
@@ -289,34 +290,30 @@ class SemiHomAlgebra(FinAlgebra):
 
     def __init__(self, dot_table, r_matrix, unit=None, delta_table=None):
         self.dim = dim = len(dot_table)
-        self.dot_table = _as_table(dot_table, dim)
-        self.r_matrix = tuple(_as_vector(col, dim) for col in r_matrix)
-        if len(self.r_matrix) != dim:
+        if dim == 0:
+            raise ValueError("tables must be nonempty and of equal dimension")
+        self._dot_rows = _rows(dot_table, dim)
+        self._r_rows = tuple(_vector(col, dim) for col in r_matrix)
+        if len(self._r_rows) != dim:
             raise ValueError("R must be dim x dim")
-        self._dot_rows = tuple(tuple(map(_sparse, row)) for row in self.dot_table)
-        self._r_rows = tuple(map(_sparse, self.r_matrix))
         es = [self.basis(i) for i in range(dim)]
         for (i, x), (j, y) in itertools.product(enumerate(es), repeat=2):
             if self.r(self.dot(x, y)) != self.dot(self.r(x), y):
                 raise ValueError(f"R is not a right semi-homomorphism at ({i},{j})")
-        super().__init__(
-            self.dot_table, [[_dense(self.dot(x, self.r(y)), dim) for y in es] for x in es]
-        )
+        self._circ_rows = tuple(tuple(self.dot(x, self.r(y)) for y in es) for x in es)
+        self._check_tables()
         self.unit = self.vector(unit) if unit is not None else None
         if self.unit is not None:
             for i, x in enumerate(es):
                 if self.dot(self.unit, x) != x or self.dot(x, self.unit) != x:
                     raise ValueError(f"unit fails at basis vector {i}")
-        self.delta_table = None
+        self._deltas = None
         if delta_table is not None:
-            self.delta_table = tuple(
-                tuple(_as_vector(row, dim) for row in mat) for mat in delta_table
-            )
-            if len(self.delta_table) != dim or any(len(mat) != dim for mat in self.delta_table):
+            if len(delta_table) != dim or any(len(mat) != dim for mat in delta_table):
                 raise ValueError("coproduct table must be dim x dim x dim")
             self._deltas = tuple(
-                LinComb((Tensor(j, k), c) for j, row in enumerate(mat) for k, c in enumerate(row))
-                for mat in self.delta_table
+                LinComb((Tensor(j, k), c) for j, row in enumerate(mat) for k, c in row.items())
+                for mat in _rows(delta_table, dim)
             )
             for i in range(dim):
                 if coassociativity_law(self._delta_key, LinComb.term(i)):
@@ -331,7 +328,7 @@ class SemiHomAlgebra(FinAlgebra):
         return self._deltas[i]
 
     def _coproduct(self) -> Callable:
-        if self.delta_table is None:
+        if self._deltas is None:
             raise ValueError("this algebra carries no coproduct")
         return self._delta_key
 
@@ -386,7 +383,7 @@ def truncated_polynomial_algebra(m: int) -> SemiHomAlgebra:
 def left_multiplication_semihom(dot_table, a_coords) -> SemiHomAlgebra:
     """R(x) = a·x for a fixed element a; always a right semi-homomorphism."""
     dim = len(dot_table)
-    probe = SemiHomAlgebra(dot_table, [[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
-    a = probe.vector(a_coords)
-    r_matrix = [_dense(probe.dot(a, probe.basis(i)), dim) for i in range(dim)]
-    return SemiHomAlgebra(dot_table, r_matrix)
+    rows = _rows(dot_table, dim)
+    a = _vector(a_coords, dim)
+    r = [bilinear(lambda k, j: rows[k][j], a, LinComb.term(i)) for i in range(dim)]
+    return SemiHomAlgebra(dot_table, r)

@@ -23,7 +23,7 @@ from .linear import (
     LinComb,
     Tensor,
     associativity_fails,
-    compatibility_fails,
+    compatibility_law,
     homomorphism_fails,
     infinitesimal_law,
     matching_fails,
@@ -130,7 +130,7 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED):
                          lambda n, colors, count: len(enumerate_trees(n, colors)) != count))
 
     circle_assoc = partial(associativity_fails, circle)
-    compat = partial(compatibility_fails, dot, circle)
+    compat = partial(compatibility_law, dot, circle)
     pool1 = _tree_pool(max(1, max_degree - 2), ["a"])
 
     def triples():
@@ -229,10 +229,7 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
     triples = (_random_trees(rng, pool2, 3, 6) for _ in range(30))
     checks.append(_check("coproduct-well-defined-combination",
                          "Δ of the compatibility combination vanishes; 30 triples",
-                         triples, lambda x, y, z: inf.coproduct(
-                             circle(dot(x, y), z) + dot(circle(x, y), z)
-                             - dot(x, circle(y, z)) - circle(x, dot(y, z))
-                         )))
+                         triples, lambda *xyz: inf.coproduct(compatibility_law(dot, circle, *xyz))))
 
     def projector_fails(x, is_dot_product):
         """e kills a dot product; on a tree, e∘e = e and Δ∘e = 0."""
@@ -267,9 +264,9 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
 # nalgebra: relations, primitive basis, dimensions
 
 
-def _random_primitive_tuple(rng, prims, arity, budget=8):
+def _random_primitive_tuple(rng, prims, arity):
     ps = []
-    remaining = budget
+    remaining = 8  # the most total degree a tuple draws
     for i in range(arity):
         slots_left = arity - i - 1
         can_take_two = remaining - 2 >= slots_left

@@ -2,6 +2,7 @@
 
 import json
 
+from cab import cli
 from cab.cli import main
 
 
@@ -175,3 +176,33 @@ def test_verify_refuses_max_degree_no_suite_takes(capsys):
     code, out, err = run(capsys, "verify", "--suite", "path", "--max-degree", "3")
     assert (code, out) == (1, "")
     assert "max degree does not apply to suite path" in err
+
+
+def test_oversized_bases_are_refused_before_enumerating(capsys, monkeypatch):
+    def refuse(n, colors):
+        raise AssertionError("enumerated an oversized basis")
+
+    monkeypatch.setattr(cli, "enumerate_trees", refuse)
+    monkeypatch.setattr(cli, "primitive_basis", refuse)
+    for argv, err in [
+        (("trees", "enum", "--degree", "8", "--colors", "2"),
+         "degree 8 gives 366080 trees, over the limit 100000"),
+        (("trees", "enum", "--degree", "9", "--colors", "a,b"),
+         "degree 9 gives 2489344 trees, over the limit 100000"),
+        (("prim-basis", "--degree", "8", "--colors", "2"),
+         "degree 8 gives 109824 primitives, over the limit 100000"),
+        (("prim-basis", "--degree", "1000000000", "--colors", "1", "--json"),
+         "degree 1000000000 gives more than 100000 primitives, over the limit 100000"),
+    ]:
+        assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+
+def test_largest_bases_under_the_limit_are_enumerated(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "enumerate_trees", lambda n, colors: built.append(n) or [])
+    monkeypatch.setattr(cli, "primitive_basis", lambda n, colors: built.append(n) or [])
+    for argv in (("trees", "enum", "--degree", "7", "--colors", "2"),
+                 ("trees", "enum", "--degree", "6", "--colors", "3"),  # 96,228 trees
+                 ("prim-basis", "--degree", "7", "--colors", "2")):
+        assert run(capsys, *argv)[0] == 0
+    assert built == [7, 6, 7]

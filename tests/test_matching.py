@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cab.linear import LinComb, Tensor, tensor
-from cab.algebra import circle, dot
+from cab.algebra import FinAlgebra, circle, dot
 from cab.infinitesimal import coproduct
 from cab.matching import (
     SemiHomAlgebra,
@@ -349,11 +349,35 @@ def test_polynomial_bimatching_and_multiplicativity():
     assert not A.bimatching_residual(x, x)  # Δ(X∘X) = Δ(X)∗Δ(X)
 
 
-def test_semihom_validation_rejects_bad_r():
+# the truncated polynomial algebra of truncated_polynomial_algebra(3) as
+# literal tables: basis 1, X, X²; R multiplies by X; Δ(Xⁿ) = Σ C(n,i) Xⁿ⁻ⁱ⊗Xⁱ
+POLY3_DOT = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+]
+POLY3_R = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+POLY3_DELTA = [
+    [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+    [[0, 0, 1], [0, 2, 0], [1, 0, 0]],
+]
+
+
+def test_literal_tables_build_the_truncated_polynomial_algebra():
     A = truncated_polynomial_algebra(3)
+    B = SemiHomAlgebra(POLY3_DOT, POLY3_R, unit=[1, 0, 0], delta_table=POLY3_DELTA)
+    for i, j in itertools.product(range(3), repeat=2):
+        x, y = A.basis(i), A.basis(j)
+        assert B.dot(x, y) == A.dot(x, y) and B.circ(x, y) == A.circ(x, y)
+        assert B.r(x) == A.r(x) and B.delta(x) == A.delta(x)
+    assert B.unit == A.unit
+
+
+def test_semihom_validation_rejects_bad_r():
     bad_r = [[0, 0, 0], [1, 0, 0], [0, 0, 1]]  # not R(x·y) = R(x)·y
     with pytest.raises(ValueError, match="semi-homomorphism"):
-        SemiHomAlgebra(A.dot_table, bad_r)
+        SemiHomAlgebra(POLY3_DOT, bad_r)
 
 
 def test_semihom_validation_rejects_non_associative_dot():
@@ -365,16 +389,47 @@ def test_semihom_validation_rejects_non_associative_dot():
 
 
 def test_semihom_validation_rejects_bad_unit():
-    A = truncated_polynomial_algebra(3)
     with pytest.raises(ValueError, match="unit"):
-        SemiHomAlgebra(A.dot_table, A.r_matrix, unit=[0, 1, 0])
+        SemiHomAlgebra(POLY3_DOT, POLY3_R, unit=[0, 1, 0])
 
 
 def test_semihom_validation_rejects_non_coassociative_coproduct():
-    A = truncated_polynomial_algebra(3)
-    delta = [A.delta_table[0], A.delta_table[1], [[0, 0, 0], [0, 1, 0], [0, 0, 0]]]
+    delta = POLY3_DELTA[:2] + [[[0, 0, 0], [0, 1, 0], [0, 0, 0]]]  # Δ(X²) = X⊗X
     with pytest.raises(ValueError, match="coassociative at basis vector 2"):
-        SemiHomAlgebra(A.dot_table, A.r_matrix, delta_table=delta)  # Δ(X²) = X⊗X
+        SemiHomAlgebra(POLY3_DOT, POLY3_R, delta_table=delta)
+
+
+def test_semihom_validation_rejects_malformed_tables():
+    with pytest.raises(ValueError, match="tables must be nonempty and of equal dimension"):
+        SemiHomAlgebra([], [])
+    for r in (POLY3_R[:2], POLY3_R + [[0, 0, 0]]):
+        with pytest.raises(ValueError, match="R must be dim x dim"):
+            SemiHomAlgebra(POLY3_DOT, r)
+    with pytest.raises(ValueError, match="expected a vector of dimension 3, got 2"):
+        SemiHomAlgebra(POLY3_DOT, [[0, 1], [0, 0, 1], [0, 0, 0]])
+    with pytest.raises(ValueError, match="over the basis indices 0..2"):
+        SemiHomAlgebra(POLY3_DOT, [LinComb.term(1), LinComb.term(2), LinComb.term(3)])
+    with pytest.raises(ValueError, match="tables must be square"):
+        SemiHomAlgebra([row[:2] for row in POLY3_DOT], POLY3_R)
+    for delta in (POLY3_DELTA[:2], POLY3_DELTA[:2] + [POLY3_DELTA[2][:2]]):
+        with pytest.raises(ValueError, match="coproduct table must be dim x dim x dim"):
+            SemiHomAlgebra(POLY3_DOT, POLY3_R, delta_table=delta)
+    delta = POLY3_DELTA[:2] + [[[0, 0, 1], [0, 2], [1, 0, 0]]]
+    with pytest.raises(ValueError, match="expected a vector of dimension 3, got 2"):
+        SemiHomAlgebra(POLY3_DOT, POLY3_R, delta_table=delta)
+
+
+def test_left_multiplication_semihom_checks_its_tables_once(monkeypatch):
+    calls = []
+    check = FinAlgebra._check_tables
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(FinAlgebra, "_check_tables", counted)
+    B = left_multiplication_semihom([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 1])
+    assert calls == [B]
 
 
 def test_left_multiplication_semihom():

@@ -41,7 +41,7 @@ def _failing(checks):
 
 def test_split_axiom_checks_report_only_their_own_law(monkeypatch):
     assert _failing(suite_axioms(max_degree=3)) == []
-    monkeypatch.setattr(verify, "compatibility_fails", lambda *args: True)
+    monkeypatch.setattr(verify, "compatibility_law", lambda *args: True)
     assert _failing(suite_axioms(max_degree=3)) == ["compatibility-exhaustive", "compatibility-random"]
 
 
