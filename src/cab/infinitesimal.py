@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .linear import (
     LinComb,
@@ -331,23 +332,27 @@ class DimRow:
 def _free_prim_dims(max_n: int) -> list[int]:
     """One-generator graded dimensions via the composition recursion:
     dims[1] = 1, dims[n] = Σ over compositions of n-1 of Π dims[parts]."""
-    dims = [0] * (max_n + 1)
-    dims[1] = 1
-    for n in range(2, max_n + 1):
-        dims[n] = _composition_sum(n - 1, dims)
+    dims = [0, 1]  # dims[k + 1] is the k-th composition sum over dims itself
+    for s in islice(_composition_sums(dims), 1, max_n):
+        dims.append(s)
     return dims
 
 
-def _composition_sum(n: int, weights: Sequence[int]) -> int:
-    """Σ over the compositions (m₁..m_k) of n of Π weights[m_i].
+def _composition_sums(weights: Sequence[int]) -> Iterator[int]:
+    """S[0], S[1], ...: S[k] = Σ over the compositions (m₁..m_j) of k of
+    Π weights[m_i].
 
-    By the last part m: S[0] = 1 and S[k] = Σ_m weights[m]·S[k−m], O(n²)
-    instead of the 2^(n−1) compositions.
+    By the last part m: S[0] = 1 and S[k] = Σ_m weights[m]·S[k−m], so the
+    sums up to S[n] cost O(n²) together, instead of 2^(k−1) compositions for
+    each k.  S[k] reads ``weights`` only up to index k, so a caller may append
+    to it between steps.
     """
     sums = [1]
-    for k in range(1, n + 1):
+    yield 1
+    while True:
+        k = len(sums)
         sums.append(sum(weights[m] * sums[k - m] for m in range(1, k + 1)))
-    return sums[n]
+        yield sums[k]
 
 
 def dimension_report(max_n: int, d: int) -> list[DimRow]:
@@ -360,11 +365,11 @@ def dimension_report(max_n: int, d: int) -> list[DimRow]:
         raise ValueError("need max_n >= 1 and d >= 1")
     prim = _free_prim_dims(max_n)
     prim_colored = [0] + [d**m * catalan(m - 1) for m in range(1, max_n + 1)]
+    cofree = list(islice(_composition_sums(prim_colored), max_n + 1))
     rows = []
     for n in range(1, max_n + 1):
         tree_dim = d**n * catalan(n)
         prim_dim = d**n * prim[n]
         prim_expected = d**n * catalan(n - 1)
-        cofree = _composition_sum(n, prim_colored)
-        rows.append(DimRow(n, tree_dim, prim_dim, prim_expected, cofree))
+        rows.append(DimRow(n, tree_dim, prim_dim, prim_expected, cofree[n]))
     return rows

@@ -14,10 +14,11 @@ Basis keys only need to be hashable and to render a canonical text via
 ``str``; the text is used for deterministic term ordering in output and for
 pivot selection during rank computation.  No dict lookup renders text.
 ``Tree`` and ``Tensor`` are interned, one object per nested tuple, so they
-keep ``object``'s identity equality and hash, computed in C; the flat keys
-``Word`` and ``Path`` hash their tuple once, when built, and compare it.
-Trees, words and paths render their text only when it is first read, and
-keep it.
+keep ``object``'s identity equality and hash, computed in C.  The flat keys
+``Word`` and ``Path`` are tuples of their items (``_TupleKey``), so their
+equality and hash are the tuple's, also computed in C.  A tree renders its
+text when it is first read and keeps it; a word or path renders it each time
+it is read.
 
 All accumulation goes through one in-place merge (``_merge``), which adds or
 subtracts coefficients key by key and drops any that cancel.  A new structure
@@ -27,7 +28,9 @@ with ``linear_map`` or ``bilinear`` (or, for a signed sum of pieces,
 sum, which copies the whole sum on every step.  A product that sends two
 basis keys to one key or to zero (the tree dot, both word products, the path
 products and their tensor squares) is a key map returning a key or ``None``,
-extended with ``bilinear_keys``; no one-term LinComb is built per pair.
+extended with ``bilinear_keys``; no one-term LinComb is built per pair.  The
+path products index the right factor's terms by first point and call their
+key map only on the pairs that glue.
 
 The laws section writes each law of the paper once, over basis-level maps:
 coassociativity, coderivation, multiplicativity on the tensor square, the
@@ -230,6 +233,24 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor{self.legs!r}"
+
+
+class _TupleKey(tuple):
+    """Base of the flat basis keys ``Word`` and ``Path``: the key is the
+    tuple of its items.
+
+    Equality and hash are the tuple's, computed in C, so a key equals the
+    plain tuple of its items.  No instance has a ``__dict__`` or keeps its
+    text: ``text`` and ``str`` render it through the subclass's ``_render``
+    each time they are read.
+    """
+
+    __slots__ = ()
+
+    def __str__(self):
+        return self._render()
+
+    text = property(__str__)
 
 
 def linear_map(f: Callable, x: LinComb) -> LinComb:

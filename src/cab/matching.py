@@ -29,6 +29,7 @@ from .algebra import FinAlgebra, _rows, _vector
 from .linear import (
     LinComb,
     Tensor,
+    _TupleKey,
     bilinear,
     bilinear_keys,
     coassociativity_law,
@@ -37,43 +38,39 @@ from .linear import (
     multiplicativity_law,
     tensor,
 )
-from .trees import COLOR_RE, Tree, _Key, check_palette
+from .trees import COLOR_RE, Tree, check_palette
 
 
-class Word(_Key):
+class Word(_TupleKey):
     """A word of the free matching dialgebra: nonempty blocks of letters.
 
     Text form: letters joined by '.', blocks by '|'; ``a.b|c`` has blocks
-    (a,b) and (c,).  Degree is the total letter count.  Equality compares
-    the blocks and the hash is that of the blocks tuple; the text is
-    rendered on demand.
+    (a,b) and (c,).  Degree is the total letter count.  The word is the tuple
+    of its blocks (``blocks`` returns the word itself), so equality and hash
+    are the tuple's, computed in C, and a word equals the plain tuple of its
+    blocks.  The package never puts a word and a plain tuple of tuples in one
+    ``LinComb``, and a word never equals a ``Path``, whose items are strings.
+    The text is rendered each time it is read.
     """
 
-    __slots__ = ("blocks", "_hash")
+    __slots__ = ()
 
-    def __init__(self, blocks):
+    def __new__(cls, blocks):
         blocks = tuple(map(tuple, blocks))
         if not blocks or not all(blocks):
             raise ValueError("a word needs nonempty blocks")
-        self.blocks = blocks
-        self._hash = hash(blocks)
+        return tuple.__new__(cls, blocks)
+
+    @property
+    def blocks(self) -> tuple:
+        return self
 
     @property
     def degree(self) -> int:
-        return sum(map(len, self.blocks))
+        return sum(map(len, self))
 
     def _render(self) -> str:
-        return "|".join(".".join(b) for b in self.blocks)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.blocks == other.blocks
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt, not restored: a string's hash differs between processes
-        return type(self), (self.blocks,)
+        return "|".join(".".join(b) for b in self)
 
     def __repr__(self):
         return f"Word<{self.text}>"
@@ -92,13 +89,12 @@ def parse_word(text: str) -> Word:
 
 def m_dot(u: Word, w: Word) -> Word:
     """Concatenate block lists."""
-    return Word(u.blocks + w.blocks)
+    return tuple.__new__(Word, u + w)
 
 
 def m_circ(u: Word, w: Word) -> Word:
     """Concatenate, merging u's last block with w's first block."""
-    merged = u.blocks[-1] + w.blocks[0]
-    return Word(u.blocks[:-1] + (merged,) + w.blocks[1:])
+    return tuple.__new__(Word, u[:-1] + (u[-1] + w[0],) + w[1:])
 
 
 def word_dot(x: LinComb, y: LinComb) -> LinComb:
@@ -149,20 +145,17 @@ def normalize_lin(x: LinComb) -> LinComb:
 
 
 def _coproduct_word(w: Word) -> LinComb:
-    blocks = w.blocks
-    last = len(blocks) - 1
+    last = len(w) - 1
     out = []
-    for bi, block in enumerate(blocks):
+    for bi, block in enumerate(w):
         for si in range(1, len(block) + 1):
             if si == len(block):
                 if bi == last:
                     continue
-                left = Word(blocks[: bi + 1])
-                right = Word(blocks[bi + 1 :])
+                left, right = w[: bi + 1], w[bi + 1 :]
             else:
-                left = Word(blocks[:bi] + (block[:si],))
-                right = Word((block[si:],) + blocks[bi + 1 :])
-            out.append((Tensor(left, right), 1))
+                left, right = w[:bi] + (block[:si],), (block[si:],) + w[bi + 1 :]
+            out.append((Tensor(tuple.__new__(Word, left), tuple.__new__(Word, right)), 1))
     return LinComb(out)
 
 
@@ -191,7 +184,7 @@ def comp_circ(c: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
 
 def word_shape(w: Word) -> tuple[int, ...]:
     """Block lengths; a dialgebra map onto compositions for one color."""
-    return tuple(len(b) for b in w.blocks)
+    return tuple(map(len, w))
 
 
 def compositions(n: int) -> list[tuple[int, ...]]:

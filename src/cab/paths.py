@@ -29,47 +29,46 @@ from typing import Sequence
 from .linear import (
     LinComb,
     Tensor,
-    bilinear_keys,
+    _merge,
+    _TupleKey,
+    _wrap,
     coassociativity_law,
     coderivation_law,
     linear_map,
     multiplicativity_law,
 )
 from .matching import tensor_square_dot, tensor_square_star
-from .trees import COLOR_RE, _Key
+from .trees import COLOR_RE
 
 
-class Path(_Key):
+class Path(_TupleKey):
     """A basis path: a tuple of at least two points, text form ``p[a,x,b]``.
 
-    Equality compares the points and the hash is that of the points tuple;
-    the text is rendered on demand.
+    The path is the tuple of its points (``points`` returns the path
+    itself), so equality and hash are the tuple's, computed in C, and a path
+    equals the plain tuple of its points: ``Path(("a", "b")) == ("a", "b")``.
+    The package never puts a path and a plain tuple of strings in one
+    ``LinComb``, and a path never equals a ``Word``, whose items are tuples.
+    The text is rendered each time it is read.
     """
 
-    __slots__ = ("points", "_hash")
+    __slots__ = ()
 
-    def __init__(self, points):
+    def __new__(cls, points):
         points = tuple(points)
         if len(points) < 2:
             raise ValueError("a path needs at least two points")
-        self.points = points
-        self._hash = hash(points)
+        return tuple.__new__(cls, points)
+
+    @property
+    def points(self) -> tuple:
+        return self
 
     def _render(self) -> str:
-        return "p[" + ",".join(self.points) + "]"
-
-    def __eq__(self, other):
-        return isinstance(other, Path) and self.points == other.points
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt, not restored: a string's hash differs between processes
-        return type(self), (self.points,)
+        return "p[" + ",".join(self) + "]"
 
     def __repr__(self):
-        return f"Path{self.points!r}"
+        return "Path" + tuple.__repr__(self)
 
 
 def parse_path(text: str, points: Sequence[str] | None = None) -> Path:
@@ -91,28 +90,43 @@ def path_unit(points: Sequence[str]) -> LinComb:
 
 
 def _mul_paths(p: Path, q: Path) -> Path | None:
-    if p.points[-1] != q.points[0]:
+    if p[-1] != q[0]:
         return None
-    return Path(p.points[:-1] + q.points[1:])
-
-
-def path_mul(x: LinComb, y: LinComb) -> LinComb:
-    return bilinear_keys(_mul_paths, x, y)
+    return tuple.__new__(Path, p[:-1] + q[1:])
 
 
 def _circ_paths(p: Path, q: Path) -> Path | None:
-    if p.points[-1] != q.points[0]:
+    if p[-1] != q[0]:
         return None
-    return Path(p.points + q.points[1:])
+    return tuple.__new__(Path, p + q[1:])
+
+
+def _glued(key_map, x: LinComb, y: LinComb) -> LinComb:
+    """Extend ``key_map`` bilinearly over the pairs of terms that glue.
+
+    The right terms are indexed by their first point once, so each left term
+    visits only the right terms starting at its last point; every other pair
+    maps to zero.
+    """
+    starting: dict = {}
+    for q, c in y.items():
+        starting.setdefault(q[0], []).append((q, c))
+    return _wrap(_merge({}, [
+        (key_map(p, q), cp * cq) for p, cp in x.items() for q, cq in starting.get(p[-1], ())
+    ]))
+
+
+def path_mul(x: LinComb, y: LinComb) -> LinComb:
+    return _glued(_mul_paths, x, y)
 
 
 def path_circ(x: LinComb, y: LinComb) -> LinComb:
     """x∘y; equals x·R(y) and keeps the matched point once."""
-    return bilinear_keys(_circ_paths, x, y)
+    return _glued(_circ_paths, x, y)
 
 
 def _r_path(p: Path) -> LinComb:
-    return LinComb.term(Path((p.points[0],) + p.points))
+    return LinComb.term(tuple.__new__(Path, p[:1] + p))
 
 
 def path_R(x: LinComb) -> LinComb:
@@ -127,8 +141,8 @@ def _coproduct_path(p: Path) -> LinComb:
     cached = _COPRODUCT_PATH_CACHE.get(p)
     if cached is not None:
         return cached
-    a, b = p.points[0], p.points[-1]
-    interior = p.points[1:-1]
+    a, b = p[0], p[-1]
+    interior = p[1:-1]
     n = len(interior)
     out = []
     for k in range(n + 1):
@@ -136,7 +150,7 @@ def _coproduct_path(p: Path) -> LinComb:
             chosen_set = set(chosen)
             left = (a,) + tuple(interior[i] for i in chosen) + (b,)
             right = (a,) + tuple(interior[i] for i in range(n) if i not in chosen_set) + (b,)
-            out.append((Tensor(Path(left), Path(right)), 1))
+            out.append((Tensor(tuple.__new__(Path, left), tuple.__new__(Path, right)), 1))
     result = LinComb(out)
     _COPRODUCT_PATH_CACHE[p] = result
     return result

@@ -59,45 +59,24 @@ def _render_vertex(vertex) -> str:
     return color + "(" + ",".join(_render_vertex(v) for v in kids) + ")"
 
 
-class _Key:
-    """Base of the basis keys ``Tree``, ``Word`` and ``Path``.
-
-    A key renders its canonical ``text`` the first time it is read.  The
-    ``text`` slot stays unset until then; ``__getattr__`` (consulted only for
-    an unset attribute) fills it through the subclass's ``_render``, so later
-    reads are plain slot reads and return the same object.
-
-    Each subclass defines ``_render``, and its own equality and hash: ``Word``
-    and ``Path`` compare their flat tuple and hash it once, when built;
-    ``Tree`` is interned, so it keeps ``object``'s identity equality and hash.
-    """
-
-    __slots__ = ("text",)
-
-    def __getattr__(self, name):
-        if name != "text":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        text = self.text = self._render()
-        return text
-
-    def __str__(self):
-        return self.text
-
-
-class Tree(_Key):
+class Tree:
     """An immutable colored planar rooted tree of degree >= 1.
 
     Trees are interned: ``Tree(children)`` returns the one tree built from an
     equal ``children`` tuple, so two trees are equal exactly when they are the
     same object, and ``object``'s identity equality and hash, computed in C,
     decide every dict lookup.  The table is never cleared, since identity
-    equality depends on it.  The canonical text is rendered on demand; it
-    alone does not decide equality, because a color holding ',' or '(' would
-    render like a different tree.  ``degree`` counts the vertices each time it
-    is read.
+    equality depends on it.  ``degree`` counts the vertices each time it is
+    read.
+
+    The canonical ``text`` is rendered the first time it is read, and kept:
+    the slot stays unset until then, and ``__getattr__`` (consulted only for
+    an unset attribute) fills it, so later reads are plain slot reads and
+    return the same object.  The text alone does not decide equality, because
+    a color holding ',' or '(' would render like a different tree.
     """
 
-    __slots__ = ("children",)
+    __slots__ = ("children", "text")
 
     _interned: dict = {}  # children tuple -> its one Tree
 
@@ -112,6 +91,12 @@ class Tree(_Key):
             tree = cls._interned.setdefault(children, tree)
         return tree
 
+    def __getattr__(self, name):
+        if name != "text":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        text = self.text = self._render()
+        return text
+
     def __reduce__(self):
         return type(self), (self.children,)
 
@@ -121,6 +106,9 @@ class Tree(_Key):
 
     def _render(self) -> str:
         return "(" + ",".join(_render_vertex(v) for v in self.children) + ")"
+
+    def __str__(self):
+        return self.text
 
     def __repr__(self):
         return f"Tree{self.text}"

@@ -310,6 +310,39 @@ def test_dimension_report_rows():
     assert (rows2[2].tree_dim, rows2[2].prim_dim, rows2[2].cofree_dim) == (40, 16, 40)
 
 
+def _composition_sum(n, weights):
+    """Σ over the compositions (m₁..m_k) of n of Π weights[m_i], for one n:
+    by the last part m, S[0] = 1 and S[k] = Σ_m weights[m]·S[k−m]."""
+    sums = [1]
+    for k in range(1, n + 1):
+        sums.append(sum(weights[m] * sums[k - m] for m in range(1, k + 1)))
+    return sums[n]
+
+
+def test_one_pass_dimensions_match_the_composition_sum_of_each_degree():
+    from cab.matching import compositions
+
+    weights = [0, 2, 1, 5, 3, 7, 4, 1, 6]
+    for n in range(1, 9):  # the recursion itself, against the compositions
+        assert _composition_sum(n, weights) == sum(
+            math.prod(weights[m] for m in c) for c in compositions(n)
+        )
+    max_n = 40
+    free = [0, 1]
+    for n in range(2, max_n + 1):
+        free.append(_composition_sum(n - 1, free))
+    assert infinitesimal._free_prim_dims(max_n) == free
+    for d in (1, 2, 3):
+        prim_colored = [0] + [d**m * free[m] for m in range(1, max_n + 1)]
+        rows = dimension_report(max_n, d)
+        assert [r.n for r in rows] == list(range(1, max_n + 1))
+        assert [r.prim_dim for r in rows] == [d**n * free[n] for n in range(1, max_n + 1)]
+        assert [r.cofree_dim for r in rows] == [
+            _composition_sum(n, prim_colored) for n in range(1, max_n + 1)
+        ]
+        assert all(r.prim_ok and r.cofree_ok for r in rows)
+
+
 def test_dimension_report_identities():
     for d in (1, 2, 3):
         assert all(r.prim_ok and r.cofree_ok for r in dimension_report(8, d))

@@ -1,11 +1,11 @@
 """Basis keys built every way the package builds them.
 
 ``Tree`` and ``Tensor`` are interned: equal keys built by any route are one
-object, and equality and hash are ``object``'s.  ``Word`` and ``Path`` hash
-their tuple when built.  Every key renders its text only when first read.
-Whatever built a key, its ``degree``, ``str``, hash and equality must agree
-with the key obtained by parsing ``str(key)`` again, and ``text`` is rendered
-once.
+object, and equality and hash are ``object``'s.  ``Word`` and ``Path`` are
+tuples of their items, with the tuple's equality and hash.  A tree renders
+its text when first read and keeps it; a word or path renders it on every
+read.  Whatever built a key, its ``degree``, ``str``, hash and equality must
+agree with the key obtained by parsing ``str(key)`` again.
 """
 
 import copy
@@ -17,10 +17,32 @@ import sys
 import threading
 from functools import reduce
 
+from cab import matching
 from cab.infinitesimal import _fold_dot, coproduct, coproduct_closed, coproduct_tree
 from cab.linear import LinComb, Tensor, apply_on_leg, tensor
-from cab.matching import Word, enumerate_words, m_circ, m_dot, normalize, parse_word
-from cab.paths import Path, _circ_paths, _coproduct_path, _mul_paths, enumerate_paths, parse_path
+from cab.matching import (
+    Word,
+    compositions,
+    enumerate_words,
+    m_circ,
+    m_dot,
+    normalize,
+    parse_word,
+    truncated_polynomial_algebra,
+    word_coproduct,
+)
+from cab.paths import (
+    Path,
+    _circ_paths,
+    _coproduct_path,
+    _mul_paths,
+    enumerate_paths,
+    parse_path,
+    path_circ,
+    path_coproduct,
+    path_mul,
+    path_R,
+)
 from cab.trees import (
     COLOR_RE,
     Tree,
@@ -46,7 +68,10 @@ def assert_agrees(key, parse):
     assert type(again) is type(key)
     assert key == again and again == key
     assert hash(key) == hash(again)
-    assert key.text is key.text
+    if isinstance(key, Tree):
+        assert key.text is key.text
+    else:
+        assert key.text == key.text
     assert str(key) == key.text == again.text == str(again)
     if not isinstance(key, Path):
         # the letter count, read off the text independently of ``degree``
@@ -138,6 +163,61 @@ def test_each_key_hashes_its_tuple():
     assert hash(w) == hash(w.blocks)
     assert hash(p) == hash(p.points)
     assert Word([["a", "b"], ["c"]]) == w  # blocks given as lists become tuples
+
+
+def test_built_flat_keys_are_exactly_words_and_paths():
+    paths = enumerate_paths(("a", "b", "x"), 2)
+    x = LinComb((p, i % 3 + 1) for i, p in enumerate(paths))
+    path_keys = [*path_mul(x, x).items(), *path_circ(x, x).items(), *path_R(x).items()]
+    assert path_keys
+    assert all(type(k) is Path for k, _ in path_keys)
+    legs = [leg for k, _ in path_coproduct(x).items() for leg in k.legs]
+    assert legs and all(type(leg) is Path for leg in legs)
+
+    words = [w for d in range(1, 4) for w in enumerate_words(d, COLORS)]
+    built = [m(u, w) for u, w in itertools.product(words, repeat=2) for m in (m_dot, m_circ)]
+    assert all(type(w) is Word for w in built)
+    y = LinComb((w, 1) for w in words + built)
+    legs = [leg for k, _ in word_coproduct(y).items() for leg in k.legs]
+    assert legs and all(type(leg) is Word for leg in legs)
+
+
+def test_flat_keys_equal_only_their_own_plain_tuples(monkeypatch):
+    # documented: a flat key is the tuple of its items, and equals it
+    assert Path(("a", "b")) == ("a", "b") and hash(Path(("a", "b"))) == hash(("a", "b"))
+    assert Word([("a",), ("b", "c")]) == (("a",), ("b", "c"))
+    # the other plain tuples the package keys a LinComb by: the formal keys
+    # (product, i, j) of ``matching._formal_square`` and compositions of ints
+    formal = []
+
+    def spy(square):
+        def recorded(u, v, *products):
+            out = square(u, v, *products)
+            formal.extend(leg for key, _ in out.items() for leg in key.legs)
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(matching, "tensor_square_dot", spy(matching.tensor_square_dot))
+    monkeypatch.setattr(matching, "tensor_square_star", spy(matching.tensor_square_star))
+    alg = truncated_polynomial_algebra(4)
+    xs = [alg.basis(i) for i in range(4)]
+    for u, v in itertools.product(xs, repeat=2):
+        alg.mult_residual(u, v)
+        alg.bimatching_residual(u, v)
+    assert formal and all(len(k) == 3 and callable(k[0]) for k in formal)
+    composition_keys = [c for n in range(1, 8) for c in compositions(n)]
+
+    paths = enumerate_paths(("a", "b", "x"), 5)  # two to seven points
+    words = [w for d in range(1, 8) for w in enumerate_words(d, COLORS)]
+    flat = set(paths) | set(words)
+    assert len(flat) == len(paths) + len(words)  # no path equals a word
+    same_length: dict = {}
+    for k in flat:
+        same_length.setdefault(len(k), []).append(k)
+    for key in set(formal) | set(composition_keys):
+        assert key not in flat
+        assert all(key != k for k in same_length.get(len(key), ()))
 
 
 def test_unknown_attribute_still_raises():

@@ -2,12 +2,17 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cab.linear import LinComb, Tensor, tensor
+from cab.linear import LinComb, Tensor, bilinear_keys, tensor
 from cab.paths import (
     Path,
+    _circ_paths,
+    _mul_paths,
     enumerate_paths,
     parse_path,
     path_bimatching_residual,
@@ -44,6 +49,54 @@ def test_product_rules():
     assert path_mul(p("a", "x"), p("x", "b")) == p("a", "b")
     assert path_mul(p("a", "b"), p("x", "b")).is_zero
     assert path_mul(p("a", "x", "b"), p("b", "x", "a")) == p("a", "x", "x", "a")
+
+
+# a LinComb over paths of two to five points drawn from two or three points,
+# with repeated paths whose coefficients may cancel
+path_terms = st.sampled_from([("a", "b"), S]).flatmap(
+    lambda points: st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(points), min_size=2, max_size=5).map(Path),
+            st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
+        ),
+        max_size=8,
+    )
+)
+
+
+@settings(deadline=None)
+@given(path_terms, path_terms, st.lists(st.booleans()))
+def test_path_products_equal_the_key_map_extension(xs, ys, negate):
+    # appending negated copies of some terms makes them cancel in x
+    x = LinComb(xs + [(k, -c) for (k, c), flag in zip(xs, negate) if flag])
+    y = LinComb(ys)
+    zero = LinComb.zero()
+    for product, key_map in ((path_mul, _mul_paths), (path_circ, _circ_paths)):
+        for u, v in ((x, y), (y, x), (x, x), (x, zero), (zero, y)):
+            got = product(u, v)
+            assert got == bilinear_keys(key_map, u, v)
+            assert all(isinstance(c, (int, Fraction)) and c for _, c in got.items())
+
+
+def test_path_products_visit_only_the_pairs_that_glue(monkeypatch):
+    from cab import paths
+
+    rng = random.Random(5)
+    pool = enumerate_paths(S, 2)
+    x = LinComb((rng.choice(pool), rng.randint(1, 3)) for _ in range(20))
+    y = LinComb((rng.choice(pool), rng.randint(1, 3)) for _ in range(20))
+    gluing = sorted((p, q) for p, _ in x.items() for q, _ in y.items() if p[-1] == q[0])
+    assert 0 < len(gluing) < len(x) * len(y)
+    for name, product in (("_mul_paths", path_mul), ("_circ_paths", path_circ)):
+        key_map, visited = getattr(paths, name), []
+
+        def spy(p, q, key_map=key_map, visited=visited):
+            visited.append((p, q))
+            return key_map(p, q)
+
+        monkeypatch.setattr(paths, name, spy)  # looked up when the product is called
+        assert product(x, y) == bilinear_keys(key_map, x, y)
+        assert sorted(visited) == gluing
 
 
 def test_unit():
