@@ -7,7 +7,9 @@ n-ary operations), ``matching`` (matching dialgebras and words), ``paths``
 (the path algebra over a finite point set), ``cli`` (the ``cab`` tool).
 """
 
-from .linear import LinComb, Tensor, bilinear, rank, tensor
+from .linear import LinComb, Model, Tensor, bilinear, rank, tensor
+from .linear import bimatching_law, coassociativity_law, coderivation_law
+from .linear import infinitesimal_law, multiplicativity_law
 from .trees import (
     Tree,
     TreeSyntaxError,
@@ -25,12 +27,12 @@ from .infinitesimal import (
     coproduct,
     coproduct_closed,
     dimension_report,
-    infinitesimal_residual,
     n_aux_residual,
     n_op,
     n_relation_residual,
     primitive_basis,
     primitive_projector,
+    tree_model,
 )
 from .matching import (
     SemiHomAlgebra,
@@ -41,6 +43,7 @@ from .matching import (
     parse_word,
     truncated_polynomial_algebra,
     word_coproduct,
+    word_model,
 )
 from .paths import (
     Path,
@@ -48,6 +51,7 @@ from .paths import (
     path_circ,
     path_coderivation_residual,
     path_coproduct,
+    path_model,
     path_mul,
     path_R,
     path_unit,

@@ -30,10 +30,9 @@ from typing import Iterator, Sequence
 
 from .linear import (
     LinComb,
+    Model,
     Tensor,
     apply_on_leg,
-    coassociativity_law,
-    infinitesimal_law,
     linear_map,
 )
 from .trees import (
@@ -47,7 +46,7 @@ from .trees import (
     root_concat,
     unwrap_root,
 )
-from .algebra import circle, circle_trees, dot, star
+from .algebra import circle, circle_trees, dot
 
 _COPRODUCT_CACHE: dict = {}
 
@@ -108,31 +107,9 @@ def coproduct_closed(t: Tree) -> LinComb:
     return LinComb(out)
 
 
-def coassociativity_residual(x: LinComb) -> LinComb:
-    """(Δ⊗id)Δ(x) − (id⊗Δ)Δ(x); zero by coassociativity."""
-    return coassociativity_law(coproduct_tree, x)
-
-
-def _product_and_weight(product):
-    """Resolve a product selector to (binary op, weight of the x⊗y term)."""
-    if product == "dot":
-        return dot, 1
-    if product == "circle":
-        return circle, 1
-    if isinstance(product, tuple) and product[0] == "star":
-        _, alpha, beta = product
-        return (lambda x, y: star(x, y, alpha, beta)), alpha + beta
-    raise ValueError(f"unknown product {product!r}")
-
-
-def infinitesimal_residual(product, x: LinComb, y: LinComb) -> LinComb:
-    """Δ(x∙y) − [x₁⊗(x₂∙y) + (x∙y₁)⊗y₂ + w·x⊗y] for the chosen product.
-
-    The weight w is 1 for dot and circle alone, and alpha+beta for
-    ("star", alpha, beta); in particular ("star", -1, 1) has no x⊗y term.
-    """
-    mul, weight = _product_and_weight(product)
-    return infinitesimal_law(coproduct_tree, mul, weight, x, y)
+def tree_model() -> Model:
+    """The tree algebra's products and coproduct, as this module binds them now."""
+    return Model(dot, circle, coproduct_tree)
 
 
 _PROJECTOR_CACHE: dict = {}

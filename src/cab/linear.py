@@ -32,11 +32,12 @@ extended with ``bilinear_keys``; no one-term LinComb is built per pair.  The
 path products index the right factor's terms by first point and call their
 key map only on the pairs that glue.
 
-The laws section writes each law of the paper once, over basis-level maps:
-coassociativity, coderivation, multiplicativity on the tensor square, the
-infinitesimal law and compatibility return their residuals; associativity,
-the matching laws and the homomorphism law are predicates, true when the law
-fails, because the exhaustive sweeps also run them on bare keys.
+The laws section writes each law of the paper once.  The coalgebra laws
+read one ``Model`` record per algebra, and a variant, such as ∘ in place of
+·, is the law on ``m._replace(...)``; they and compatibility return their
+residuals.  Associativity, the matching laws and the homomorphism law are
+predicates, true when the law fails, because the exhaustive sweeps also run
+them on bare keys.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable, Hashable, Iterable, Mapping
 from fractions import Fraction
+from typing import NamedTuple
 
 Scalar = Fraction | int
 
@@ -312,23 +314,43 @@ def apply_on_leg(f: Callable, x: LinComb, leg: int) -> LinComb:
 
 # --- the laws ------------------------------------------------------------------
 #
-# Each law of the paper is written once here; every algebra, public residual
-# and verify suite calls it.  ``delta`` is a basis-level coproduct (key →
-# LinComb of rank-2 Tensor keys), ``r`` a basis-level linear map, and products
-# act on whole elements.  The coalgebra laws and compatibility return their
-# residual.  Associativity, the matching laws and the homomorphism law are
-# predicates, true when the law fails: they also take bare keys under a key
-# map (the exhaustive word and path sweeps), where no residual can be formed.
+# Each law of the paper is written once here; every algebra and verify suite
+# calls it.  The coalgebra laws read a ``Model``, and each variant (the
+# infinitesimal law for ∘, componentwise ∘-multiplicativity) is the law on
+# ``m._replace(...)`` at its one call site.  They and compatibility return
+# their residual.  Associativity, the matching laws and the homomorphism law
+# are predicates, true when the law fails: they also take bare keys under a
+# key map (the exhaustive word and path sweeps), where no residual can be
+# formed.
 
 
-def coassociativity_law(delta: Callable, x: LinComb) -> LinComb:
+class Model(NamedTuple):
+    """The maps of one algebra that the coalgebra laws read.
+
+    ``dot`` and ``circ`` act on whole elements, ``delta`` (key → LinComb of
+    rank-2 Tensor keys) and ``r`` on basis keys, and ``square_dot`` and
+    ``square_star`` are · and ∗ on the tensor square.  A model function
+    builds its record from its module's current bindings on every call, so a
+    map rebound there (a tracer, a planted fault) reaches every law.
+    """
+
+    dot: Callable
+    circ: Callable
+    delta: Callable
+    r: Callable | None = None
+    square_dot: Callable | None = None
+    square_star: Callable | None = None
+
+
+def coassociativity_law(m: Model, x: LinComb) -> LinComb:
     """(Δ⊗id)Δx − (id⊗Δ)Δx."""
-    d = linear_map(delta, x)
-    return apply_on_leg(delta, d, 0) - apply_on_leg(delta, d, 1)
+    d = linear_map(m.delta, x)
+    return apply_on_leg(m.delta, d, 0) - apply_on_leg(m.delta, d, 1)
 
 
-def coderivation_law(delta: Callable, r: Callable, x: LinComb) -> LinComb:
+def coderivation_law(m: Model, x: LinComb) -> LinComb:
     """Δ(Rx) − (R⊗id + id⊗R)Δx."""
+    delta, r = m.delta, m.r
     d = linear_map(delta, x)
     return LinComb.sum([
         (linear_map(delta, linear_map(r, x)), 1),
@@ -337,17 +359,19 @@ def coderivation_law(delta: Callable, r: Callable, x: LinComb) -> LinComb:
     ])
 
 
-def multiplicativity_law(
-    delta: Callable, mul: Callable, square: Callable, x: LinComb, y: LinComb
-) -> LinComb:
-    """Δ(x∙y) − Δx ⋆ Δy, with ⋆ = ``square`` a product on the tensor square."""
-    return linear_map(delta, mul(x, y)) - square(linear_map(delta, x), linear_map(delta, y))
+def multiplicativity_law(m: Model, x: LinComb, y: LinComb) -> LinComb:
+    """Δ(x·y) − Δx·Δy, with the second · the model's ``square_dot``."""
+    return linear_map(m.delta, m.dot(x, y)) - m.square_dot(linear_map(m.delta, x), linear_map(m.delta, y))
 
 
-def infinitesimal_law(
-    delta: Callable, mul: Callable, weight: Scalar, x: LinComb, y: LinComb
-) -> LinComb:
-    """Δ(x∙y) − x₁⊗(x₂∙y) − (x∙y₁)⊗y₂ − w·x⊗y (Joni–Rota, Aguiar)."""
+def bimatching_law(m: Model, x: LinComb, y: LinComb) -> LinComb:
+    """Δ(x∘y) − Δx∗Δy: multiplicativity for ∘ and the tensor-square ∗."""
+    return multiplicativity_law(m._replace(dot=m.circ, square_dot=m.square_star), x, y)
+
+
+def infinitesimal_law(m: Model, weight: Scalar, x: LinComb, y: LinComb) -> LinComb:
+    """Δ(x·y) − x₁⊗(x₂·y) − (x·y₁)⊗y₂ − w·x⊗y (Joni–Rota, Aguiar)."""
+    delta, mul = m.delta, m.dot
     left = apply_on_leg(lambda k: mul(LinComb.term(k), y), linear_map(delta, x), 1)
     right = apply_on_leg(lambda k: mul(x, LinComb.term(k)), linear_map(delta, y), 0)
     return LinComb.sum([

@@ -16,8 +16,9 @@ Any right semi-homomorphism R (a linear map with R(x·y) = R(x)·y) of an
 associative algebra induces a matching partner x∘y = x·R(y).
 ``SemiHomAlgebra`` is the ``FinAlgebra`` whose circle table is that partner;
 the truncated polynomial algebra with R = multiplication by X and the
-binomial coproduct is its worked example, and its coalgebra residuals are the
-shared laws of ``linear`` on index keys.
+binomial coproduct is its worked example.  ``word_model()`` and a
+``SemiHomAlgebra``'s ``model`` name the maps that the coalgebra laws of
+``linear`` read, the latter on index keys.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from typing import Callable, Sequence
 from .algebra import FinAlgebra, _rows, _vector
 from .linear import (
     LinComb,
+    Model,
     Tensor,
     _TupleKey,
     bilinear,
     bilinear_keys,
     coassociativity_law,
-    coderivation_law,
     linear_map,
-    multiplicativity_law,
     tensor,
 )
 from .trees import COLOR_RE, Tree, check_palette
@@ -170,6 +170,13 @@ def word_coproduct(x: LinComb) -> LinComb:
     return linear_map(_coproduct_word, x)
 
 
+def word_model() -> Model:
+    """The word dialgebra's maps, as this module binds them now; ∗ on the
+    tensor square is the two-term product."""
+    return Model(word_dot, word_circ, _coproduct_word,
+                 square_star=lambda u, v: tensor_square_star(u, v, m_dot, m_circ))
+
+
 # --- one-color specialization: compositions of an integer -------------------
 
 
@@ -277,8 +284,8 @@ class SemiHomAlgebra(FinAlgebra):
     The pair (·,∘) is a matching dialgebra.
 
     An optional coproduct table (``delta_table[i]`` = matrix of Δ(e_i) over
-    e_j⊗e_k) enables the coderivation and bialgebra diagnostics.  Their
-    residuals, like ``delta``, are LinCombs over ``Tensor(j, k)`` index keys.
+    e_j⊗e_k) enables ``delta`` and the coalgebra laws on ``model``.  Their
+    values are LinCombs over ``Tensor(j, k)`` index keys.
     """
 
     def __init__(self, dot_table, r_matrix, unit=None, delta_table=None):
@@ -309,7 +316,7 @@ class SemiHomAlgebra(FinAlgebra):
                 for mat in _rows(delta_table, dim)
             )
             for i in range(dim):
-                if coassociativity_law(self._delta_key, LinComb.term(i)):
+                if coassociativity_law(self.model, LinComb.term(i)):
                     raise ValueError(f"coproduct not coassociative at basis vector {i}")
 
     # basis-level maps on index keys, for the shared laws
@@ -318,32 +325,23 @@ class SemiHomAlgebra(FinAlgebra):
         return self._r_rows[i]
 
     def _delta_key(self, i: int) -> LinComb:
-        return self._deltas[i]
-
-    def _coproduct(self) -> Callable:
         if self._deltas is None:
             raise ValueError("this algebra carries no coproduct")
-        return self._delta_key
+        return self._deltas[i]
+
+    @property
+    def model(self) -> Model:
+        """The maps the coalgebra laws read; · and ∗ on the tensor square
+        evaluate the table rows on formal keys."""
+        return Model(self.dot, self.circ, self._delta_key, self._r_key,
+                     _formal_square(tensor_square_dot, self._dot_key),
+                     _formal_square(tensor_square_star, self._dot_key, self._circ_key))
 
     def r(self, x: LinComb) -> LinComb:
         return linear_map(self._r_key, x)
 
     def delta(self, x: LinComb) -> LinComb:
-        return linear_map(self._coproduct(), x)
-
-    def coderivation_residual(self, x: LinComb) -> LinComb:
-        """Δ(R(x)) − (R⊗id + id⊗R)(Δ(x)); zero when R is a coderivation."""
-        return coderivation_law(self._coproduct(), self._r_key, x)
-
-    def mult_residual(self, x: LinComb, y: LinComb) -> LinComb:
-        """Δ(x·y) − Δ(x)·Δ(y) with the componentwise tensor-square product."""
-        square = _formal_square(tensor_square_dot, self._dot_key)
-        return multiplicativity_law(self._coproduct(), self.dot, square, x, y)
-
-    def bimatching_residual(self, x: LinComb, y: LinComb) -> LinComb:
-        """Δ(x∘y) − Δ(x)∗Δ(y) with the two-term tensor-square product."""
-        square = _formal_square(tensor_square_star, self._dot_key, self._circ_key)
-        return multiplicativity_law(self._coproduct(), self.circ, square, x, y)
+        return linear_map(self._delta_key, x)
 
 
 def truncated_polynomial_algebra(m: int) -> SemiHomAlgebra:

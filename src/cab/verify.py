@@ -23,10 +23,14 @@ from .linear import (
     LinComb,
     Tensor,
     associativity_fails,
+    bimatching_law,
+    coassociativity_law,
+    coderivation_law,
     compatibility_law,
     homomorphism_fails,
     infinitesimal_law,
     matching_fails,
+    multiplicativity_law,
     rank,
     tensor,
 )
@@ -47,7 +51,8 @@ class Check:
 
 
 def _check(name: str, detail, inputs, *laws) -> Check:
-    """The check that every law holds on every argument tuple of ``inputs``.
+    """The check that every law holds on every argument tuple of ``inputs``,
+    of which there is at least one: a sweep over no input shows nothing.
 
     A law returns something true when it fails: a nonzero residual or a
     failing predicate.  ``inputs`` is consumed lazily, so a generator that
@@ -63,7 +68,7 @@ def _check(name: str, detail, inputs, *laws) -> Check:
                 failures += 1
     if callable(detail):
         detail = detail(n, failures)
-    return Check(name, failures == 0, detail)
+    return Check(name, n > 0 and failures == 0, detail)
 
 
 def _tree_pool(max_degree: int, colors) -> dict[int, list[Tree]]:
@@ -199,6 +204,7 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
     rng = random.Random(seed)
     pool1 = _tree_pool(max_degree, ["a"])
     pool2 = _tree_pool(5, ["a", "b"])  # random sweeps draw degrees up to 5
+    model = inf.tree_model()
 
     def trees(top):
         return (_terms(*t) for t in _graded(pool1, 1, top))
@@ -207,7 +213,7 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
     elements = itertools.chain(trees(max_degree), ((_random_element(rng, tree, 1),) for _ in range(40)))
     checks.append(_check("coassociativity",
                          lambda n, bad: f"{n - 40} one-color trees to degree {max_degree} + 40 random colored elements",
-                         elements, inf.coassociativity_residual))
+                         elements, partial(coassociativity_law, model)))
     checks.append(_check("closed-vs-recursive-coproduct",
                          lambda n, bad: f"{n} one-color trees to degree {max_degree}",
                          _graded(pool1, 1, max_degree),
@@ -218,13 +224,13 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
 
     detail = lambda n, bad: f"{n} basis pairs, total degree <= {max_degree - 1}"
     checks.append(_check("infinitesimal-dot", detail, pairs(),
-                         partial(inf.infinitesimal_residual, "dot")))
+                         partial(infinitesimal_law, model, 1)))
     checks.append(_check("infinitesimal-circle", detail, pairs(),
-                         partial(inf.infinitesimal_residual, "circle")))
+                         partial(infinitesimal_law, model._replace(dot=model.circ), 1)))
 
     random_pairs = (_random_trees(rng, pool2, 2, 6) for _ in range(40))
-    checks.append(_check("joni-rota-star", "star(-1,1) has no x⊗y term; 40 random pairs",
-                         random_pairs, partial(inf.infinitesimal_residual, ("star", -1, 1))))
+    checks.append(_check("joni-rota-star", "star(-1,1) has no x⊗y term; 40 random pairs", random_pairs,
+                         partial(infinitesimal_law, model._replace(dot=partial(star, alpha=-1, beta=1)), 0)))
 
     triples = (_random_trees(rng, pool2, 3, 6) for _ in range(30))
     checks.append(_check("coproduct-well-defined-combination",
@@ -345,6 +351,7 @@ def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED):
 def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
     checks = []
     rng = random.Random(seed)
+    model = mat.word_model()
     words = {
         n: mat.enumerate_words(n, ["a", "b"])
         for n in range(1, max(5, max_degree - 1))
@@ -359,7 +366,7 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
     checks.append(_check("word-star-joni-rota",
                          "∗ = ∘ − · associative with no x⊗y coproduct term; 60 random triples",
                          triples, partial(associativity_fails, mat.word_star),
-                         lambda x, y, z: infinitesimal_law(mat._coproduct_word, mat.word_star, 0, x, y)))
+                         lambda x, y, z: infinitesimal_law(model._replace(dot=mat.word_star), 0, x, y)))
 
     trees2 = {d: ts[:16] for d, ts in _tree_pool(5, ["a", "b"]).items()}
     pairs = (_terms(t, w) for t, w in _graded(trees2, 2, 6))
@@ -393,11 +400,10 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
                          partial(homomorphism_fails, mat.word_shape, mat.m_circ, mat.comp_circ)))
 
     word_pair = lambda rng: Tensor(*(rng.choice(words[rng.randint(1, 3)]) for _ in range(2)))
-    word_square = partial(mat.tensor_square_star, dot_fn=mat.m_dot, circ_fn=mat.m_circ)
     triples = ([_random_element(rng, word_pair, 0.5) for _ in range(3)] for _ in range(40))
     checks.append(_check("tensor-square-star-associative",
                          "40 random triples in the word dialgebra tensor square",
-                         triples, partial(associativity_fails, word_square)))
+                         triples, partial(associativity_fails, model.square_star)))
 
     left_zero = lambda p, q: p
     right_zero = lambda p, q: q
@@ -416,15 +422,16 @@ def _semihom_checks(rng) -> list[Check]:
     checks = []
     m = 8
     A = mat.truncated_polynomial_algebra(m)
+    model = A.model
 
     checks.append(_check("polynomial-coderivation",
                          f"Δ(R(Xⁿ)) matches for n <= {m - 2} (truncation-safe inputs)",
-                         ((A.basis(n),) for n in range(m - 1)), A.coderivation_residual))
+                         ((A.basis(n),) for n in range(m - 1)), partial(coderivation_law, model)))
 
     pairs = ((A.basis(i), A.basis(j)) for i in range(m) for j in range(m) if i + j + 1 < m)
     checks.append(_check("polynomial-bimatching",
                          lambda n, bad: f"Δ(x∘y) = Δ(x)∗Δ(y) and Δ(x·y) = Δ(x)·Δ(y) on {n} truncation-safe basis pairs",
-                         pairs, A.bimatching_residual, A.mult_residual))
+                         pairs, partial(bimatching_law, model), partial(multiplicativity_law, model)))
 
     triples = (
         [A.vector([rng.randint(-2, 2) for _ in range(m)]) for _ in range(3)] for _ in range(30)
@@ -452,7 +459,8 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
     rng = random.Random(seed)
     S = tuple(points)
     e = pth.path_unit(S)
-    mul, circ = pth.path_mul, pth.path_circ
+    model = pth.path_model()
+    mul, circ = model.dot, model.circ
 
     basis_small = pth.enumerate_paths(S, 2)
     basis_full = pth.enumerate_paths(S, max_interior)
@@ -506,15 +514,15 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
 
     checks.append(_check("path-coassociativity",
                          f"exhaustive on {len(basis_full)} paths, interior <= {max_interior}",
-                         full_basis(), pth.path_coassociativity_residual))
+                         full_basis(), partial(coassociativity_law, model)))
     checks.append(_check("path-coderivation",
                          f"Δ∘R = (R⊗id + id⊗R)∘Δ exhaustively on {len(basis_full)} paths",
-                         full_basis(), pth.path_coderivation_residual))
+                         full_basis(), partial(coderivation_law, model)))
 
     checks.append(_check("path-mult-diagnostic-dot",
                          lambda n, bad: f"Δ(x·y) − Δ(x)·Δ(y): zero on all {n} swept pairs" if bad == 0
                          else f"Δ(x·y) − Δ(x)·Δ(y): nonzero on {bad} pairs",
-                         small_pairs(), lambda x, y: pth.path_mult_residual(x, y, "dot")))
+                         small_pairs(), partial(multiplicativity_law, model)))
 
     x = LinComb.term(pth.Path(("a", "x")))
     y = LinComb.term(pth.Path(("x", "b")))
@@ -525,14 +533,15 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
             (Tensor(pth.Path(("a", "x", "b")), pth.Path(("a", "x", "b"))), -1),
         ]
     )
+    circ_model = model._replace(dot=circ, square_dot=partial(mat.tensor_square_dot, dot_fn=pth._circ_paths))
     checks.append(_check("path-mult-diagnostic-circ",
                          "componentwise ∘-multiplicativity fails on p[a,x], p[x,b] with the derived residual",
-                         [(x, y)], lambda p, q: pth.path_mult_residual(p, q, "circ") != expected))
+                         [(x, y)], lambda p, q: multiplicativity_law(circ_model, p, q) != expected))
 
     checks.append(_check("path-bimatching-diagnostic",
                          lambda n, bad: f"Δ(x∘y) − Δ(x)∗Δ(y): zero on all {n} swept pairs (incl. e,e)" if bad == 0
                          else f"Δ(x∘y) − Δ(x)∗Δ(y): nonzero on {bad} pairs",
-                         itertools.chain(small_pairs(), [(e, e)]), pth.path_bimatching_residual))
+                         itertools.chain(small_pairs(), [(e, e)]), partial(bimatching_law, model)))
     return checks
 
 
@@ -554,9 +563,9 @@ _DEGREE_SUITES = {"axioms", "coalgebra", "matching", "nalgebra"}
 def run_suites(names, max_degree: int | None = None, seed: int = DEFAULT_SEED) -> list[Check]:
     """Run the named suites; ``max_degree`` rescales the exhaustive bounds.
 
-    Below 3 some exhaustive checks would run on no input at all and pass, so
-    a smaller ``max_degree`` is refused before any suite runs; so is a
-    ``max_degree`` that none of the named suites takes.
+    Below 3 some exhaustive checks would run on no input at all, and fail
+    for it, so a smaller ``max_degree`` is refused before any suite runs; so
+    is a ``max_degree`` that none of the named suites takes.
     """
     if max_degree is not None and max_degree < 3:
         raise ValueError(f"max degree must be at least 3, got {max_degree}")

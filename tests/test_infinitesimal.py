@@ -7,14 +7,20 @@ import random
 import pytest
 
 from cab import infinitesimal
-from cab.linear import LinComb, Tensor, bilinear_keys, rank, tensor
-from cab.algebra import circle, dot
+from cab.linear import (
+    LinComb,
+    Tensor,
+    bilinear_keys,
+    coassociativity_law,
+    infinitesimal_law,
+    rank,
+    tensor,
+)
+from cab.algebra import circle, dot, star
 from cab.infinitesimal import (
-    coassociativity_residual,
     coproduct,
     coproduct_closed,
     dimension_report,
-    infinitesimal_residual,
     n_aux_residual,
     n_op,
     n_relation_arity,
@@ -22,6 +28,7 @@ from cab.infinitesimal import (
     primitive_basis,
     primitive_projector,
     primitive_projector_series,
+    tree_model,
 )
 from cab.trees import catalan, enumerate_irreducible, enumerate_trees, parse_tree
 
@@ -55,7 +62,7 @@ def test_coproduct_closed_equals_recursive():
 def test_coassociativity():
     for n in range(1, 6):
         for t in enumerate_trees(n, ["a"]):
-            assert coassociativity_residual(LinComb.term(t)).is_zero
+            assert coassociativity_law(tree_model(), LinComb.term(t)).is_zero
 
 
 def test_coproduct_legs_have_positive_degree():
@@ -66,17 +73,22 @@ def test_coproduct_legs_have_positive_degree():
             assert l.degree + r.degree == t.degree
 
 
+def star_model(alpha, beta):
+    return tree_model()._replace(dot=lambda x, y: star(x, y, alpha, beta))
+
+
 def test_infinitesimal_laws():
-    assert infinitesimal_residual("dot", basis("(a)"), basis("(b)")).is_zero
+    model = tree_model()
+    assert infinitesimal_law(model, 1, basis("(a)"), basis("(b)")).is_zero
     rng = random.Random(9)
     pool = {n: enumerate_trees(n, ["a", "b"]) for n in (1, 2, 3)}
     for _ in range(30):
         x = LinComb.term(rng.choice(pool[rng.randint(1, 3)]))
         y = LinComb.term(rng.choice(pool[rng.randint(1, 3)]))
-        assert infinitesimal_residual("dot", x, y).is_zero
-        assert infinitesimal_residual("circle", x, y).is_zero
-        assert infinitesimal_residual(("star", -1, 1), x, y).is_zero
-        assert infinitesimal_residual(("star", 2, 3), x, y).is_zero
+        assert infinitesimal_law(model, 1, x, y).is_zero
+        assert infinitesimal_law(model._replace(dot=circle), 1, x, y).is_zero
+        assert infinitesimal_law(star_model(-1, 1), 0, x, y).is_zero
+        assert infinitesimal_law(star_model(2, 3), 5, x, y).is_zero
 
 
 def test_star_minus_one_one_has_no_xy_term():
@@ -85,7 +97,7 @@ def test_star_minus_one_one_has_no_xy_term():
     x, y = basis("(a)"), basis("(b)")
     assert coproduct(dot(x, y)) == tensor(x, y)
     assert coproduct(circle(x, y) - dot(x, y)).is_zero
-    assert infinitesimal_residual(("star", -1, 1), x, y).is_zero
+    assert infinitesimal_law(star_model(-1, 1), 0, x, y).is_zero
 
 
 def test_well_definedness_combination():

@@ -19,7 +19,14 @@ from functools import reduce
 
 from cab import matching
 from cab.infinitesimal import _fold_dot, coproduct, coproduct_closed, coproduct_tree
-from cab.linear import LinComb, Tensor, apply_on_leg, tensor
+from cab.linear import (
+    LinComb,
+    Tensor,
+    apply_on_leg,
+    bimatching_law,
+    multiplicativity_law,
+    tensor,
+)
 from cab.matching import (
     Word,
     compositions,
@@ -203,8 +210,8 @@ def test_flat_keys_equal_only_their_own_plain_tuples(monkeypatch):
     alg = truncated_polynomial_algebra(4)
     xs = [alg.basis(i) for i in range(4)]
     for u, v in itertools.product(xs, repeat=2):
-        alg.mult_residual(u, v)
-        alg.bimatching_residual(u, v)
+        multiplicativity_law(alg.model, u, v)
+        bimatching_law(alg.model, u, v)
     assert formal and all(len(k) == 3 and callable(k[0]) for k in formal)
     composition_keys = [c for n in range(1, 8) for c in compositions(n)]
 

@@ -3,13 +3,20 @@
 import itertools
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cab.linear import LinComb, Tensor, tensor
+from cab.linear import (
+    LinComb,
+    Tensor,
+    bimatching_law,
+    coderivation_law,
+    multiplicativity_law,
+    tensor,
+)
 from cab.algebra import FinAlgebra, circle, dot
 from cab.infinitesimal import coproduct
 from cab.matching import (
@@ -309,7 +316,7 @@ def test_polynomial_algebra_structure():
     one = A.basis(0)
     d = A.delta(X)
     assert d == LinComb.term(Tensor(1, 0)) + LinComb.term(Tensor(0, 1))
-    assert not A.coderivation_residual(one)  # R(1) = X is primitive
+    assert not coderivation_law(A.model, one)  # R(1) = X is primitive
 
 
 def test_polynomial_matching_laws():
@@ -327,14 +334,14 @@ def test_polynomial_matching_laws():
 def test_polynomial_coderivation_residuals():
     A = truncated_polynomial_algebra(8)
     for n in range(7):  # inputs whose image stays below the truncation
-        assert not A.coderivation_residual(A.basis(n))
+        assert not coderivation_law(A.model, A.basis(n))
     # at the truncation boundary the quotient artifact shows up
-    assert A.coderivation_residual(A.basis(7))
+    assert coderivation_law(A.model, A.basis(7))
 
 
 def test_polynomial_coderivation_at_x_squared():
     A = truncated_polynomial_algebra(4)  # just enough headroom for X²
-    assert not A.coderivation_residual(A.basis(2))
+    assert not coderivation_law(A.model, A.basis(2))
 
 
 def test_polynomial_bimatching_and_multiplicativity():
@@ -343,10 +350,10 @@ def test_polynomial_bimatching_and_multiplicativity():
         for j in range(8):
             if i + j + 1 >= 8:
                 continue
-            assert not A.bimatching_residual(A.basis(i), A.basis(j))
-            assert not A.mult_residual(A.basis(i), A.basis(j))
+            assert not bimatching_law(A.model, A.basis(i), A.basis(j))
+            assert not multiplicativity_law(A.model, A.basis(i), A.basis(j))
     x = A.basis(1)
-    assert not A.bimatching_residual(x, x)  # Δ(X∘X) = Δ(X)∗Δ(X)
+    assert not bimatching_law(A.model, x, x)  # Δ(X∘X) = Δ(X)∗Δ(X)
 
 
 # the truncated polynomial algebra of truncated_polynomial_algebra(3) as
@@ -449,9 +456,9 @@ def test_left_multiplication_semihom():
 def test_semihom_without_coproduct_refuses_coalgebra_residuals():
     B = left_multiplication_semihom([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 1])
     x = B.basis(1)
-    for residual in (B.delta, B.coderivation_residual):
+    for residual in (B.delta, partial(coderivation_law, B.model)):
         with pytest.raises(ValueError, match="carries no coproduct"):
             residual(x)
-    for residual in (B.mult_residual, B.bimatching_residual):
+    for law in (multiplicativity_law, bimatching_law):
         with pytest.raises(ValueError, match="carries no coproduct"):
-            residual(x, x)
+            law(B.model, x, x)

@@ -3,25 +3,33 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cab.linear import LinComb, Tensor, bilinear_keys, tensor
+from cab.linear import (
+    LinComb,
+    Tensor,
+    bilinear_keys,
+    bimatching_law,
+    multiplicativity_law,
+    tensor,
+)
+from cab.matching import tensor_square_dot
 from cab.paths import (
     Path,
     _circ_paths,
     _mul_paths,
     enumerate_paths,
     parse_path,
-    path_bimatching_residual,
     path_circ,
     path_coassociativity_residual,
     path_coderivation_residual,
     path_coproduct,
+    path_model,
     path_mul,
-    path_mult_residual,
     path_R,
     path_unit,
 )
@@ -179,12 +187,14 @@ def test_coderivation_residual_zero():
 def test_mult_diagnostic_dot_zero_on_basis_pairs():
     pool = enumerate_paths(("a", "x"), 2)
     for q, r in itertools.product(pool, repeat=2):
-        assert path_mult_residual(LinComb.term(q), LinComb.term(r), "dot").is_zero
+        assert multiplicativity_law(path_model(), LinComb.term(q), LinComb.term(r)).is_zero
 
 
 def test_mult_diagnostic_circ_pinned_residual():
     x, y = p("a", "x"), p("x", "b")
-    got = path_mult_residual(x, y, "circ")
+    model = path_model()
+    square = partial(tensor_square_dot, dot_fn=_circ_paths)
+    got = multiplicativity_law(model._replace(dot=model.circ, square_dot=square), x, y)
     expected = (
         LinComb.term(Tensor(Path(("a", "b")), Path(("a", "x", "b"))))
         + LinComb.term(Tensor(Path(("a", "x", "b")), Path(("a", "b"))))
@@ -196,11 +206,12 @@ def test_mult_diagnostic_circ_pinned_residual():
 
 def test_bimatching_residual():
     e = path_unit(S)
-    assert path_bimatching_residual(e, e).is_zero
-    assert path_bimatching_residual(p("a", "b"), p("b", "x")).is_zero
+    model = path_model()
+    assert bimatching_law(model, e, e).is_zero
+    assert bimatching_law(model, p("a", "b"), p("b", "x")).is_zero
     pool = enumerate_paths(("a", "x"), 2)
     for q, r in itertools.product(pool[:8], repeat=2):
-        assert path_bimatching_residual(LinComb.term(q), LinComb.term(r)).is_zero
+        assert bimatching_law(model, LinComb.term(q), LinComb.term(r)).is_zero
 
 
 def test_enumerate_paths_count():
@@ -212,16 +223,16 @@ def test_path_suite_fails_on_nonzero_dot_and_bimatching_residuals(monkeypatch):
 
     e = path_unit(("a",))
     nonzero = LinComb.term(Tensor(Path(("a", "a")), Path(("a", "a"))))
-    real_mult = paths.path_mult_residual
+    real_mult = verify.multiplicativity_law
 
-    def fake_bimatching(x, y):
+    def fake_bimatching(m, x, y):
         return nonzero if x == e and y == e else LinComb.zero()
 
-    def fake_mult(x, y, product="dot"):
-        return nonzero if product == "dot" else real_mult(x, y, product)
+    def fake_mult(m, x, y):  # nonzero for ·, the real diagnostic for ∘
+        return nonzero if m.dot is paths.path_mul else real_mult(m, x, y)
 
-    monkeypatch.setattr(paths, "path_bimatching_residual", fake_bimatching)
-    monkeypatch.setattr(paths, "path_mult_residual", fake_mult)
+    monkeypatch.setattr(verify, "bimatching_law", fake_bimatching)
+    monkeypatch.setattr(verify, "multiplicativity_law", fake_mult)
     checks = {c.name: c for c in verify.suite_path(points=("a",), max_interior=1)}
     assert not checks["path-mult-diagnostic-dot"].ok
     assert not checks["path-bimatching-diagnostic"].ok

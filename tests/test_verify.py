@@ -5,7 +5,6 @@ import itertools
 
 import pytest
 
-from cab import infinitesimal
 from cab import paths as pth
 from cab import verify
 from cab.matching import enumerate_words
@@ -33,6 +32,7 @@ def test_check_runs_every_law_on_every_input_lazily_in_order():
     ]
     assert check == Check("c", False, "3 inputs, 3 failures")
     assert _check("d", "fixed", [(1, 2)], lambda i, j: 0) == Check("d", True, "fixed")
+    assert _check("e", "fixed", [], law("r", set())) == Check("e", False, "fixed")  # shows nothing
 
 
 def _failing(checks):
@@ -47,7 +47,7 @@ def test_split_axiom_checks_report_only_their_own_law(monkeypatch):
 
 def test_split_coalgebra_checks_report_only_their_own_law(monkeypatch):
     # the exhaustive inputs are single trees, so only the random elements fail
-    monkeypatch.setattr(infinitesimal, "coassociativity_residual", lambda x: len(x) == 2)
+    monkeypatch.setattr(verify, "coassociativity_law", lambda m, x: len(x) == 2)
     assert _failing(suite_coalgebra(max_degree=3)) == ["coassociativity"]
 
 

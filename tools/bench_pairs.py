@@ -11,8 +11,14 @@ output holds every run's end-to-end metrics, and for each metric both
 sides' medians and quartiles, the number of pairs each side won (ties count
 for neither), and whether the gap between the medians exceeds the parent's
 interquartile range.  It also keeps each checkout's run record: Python
-version, CPU, commit and a hash of its ``src/cab``.  A run that fails or
-reports failed checks stops the script with exit code 1.
+version, CPU, commit and a hash of its ``src/cab``.
+
+For each workload it then runs ``perfbench/run.py --trace 1`` once in each
+checkout at the first seed, records the per-layer metrics that count work,
+and lists the names whose values differ between the sides.  Times, the
+garbage-collection count and the tracing overhead are left out: they vary
+between identical runs.  A run that fails or reports failed checks stops
+the script with exit code 1.
 """
 
 from __future__ import annotations
@@ -25,13 +31,15 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# traced metrics that differ between identical runs
+UNSTEADY = ("runtime.gc.collections", "trace.overhead_ratio")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One ``--trace 0`` run in ``checkout``: its run record and its result."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+    """One ``--trace`` 0 or 1 run in ``checkout``: its run record and its result."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
     record, result = json.loads(out[-2])["record"], json.loads(out[-1])
@@ -43,6 +51,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def steady_counts(result: dict) -> dict:
+    """The traced metrics of ``result`` that are the same on identical runs."""
+    return {
+        name: m["value"] for name, m in result["metrics"].items()
+        if not name.endswith(("_s", ".s")) and name not in UNSTEADY
+    }
 
 
 def summarise(pairs: list[dict], better: dict) -> dict:
@@ -86,7 +102,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                record, result = run_once(checkouts[side], workload, seed, args.seconds)
+                record, result = run_once(checkouts[side], workload, seed, args.seconds, 0)
                 pair[side] = {name: m["value"] for name, m in result["metrics"].items()}
                 report["checkouts"][side] = {
                     "dir": str(checkouts[side]),
@@ -94,7 +110,16 @@ def main(argv=None) -> int:
                 }
                 print(workload, seed, side, json.dumps(pair[side]), flush=True)
             pairs.append(pair)
-        report["workloads"][workload] = {"pairs": pairs, "metrics": summarise(pairs, better)}
+        traced = {"seed": args.seeds[0]}
+        for side in SIDES:
+            _, result = run_once(checkouts[side], workload, args.seeds[0], args.seconds, 1)
+            traced[side] = steady_counts(result)
+        names = set(traced["parent"]) | set(traced["change"])
+        traced["differ"] = sorted(n for n in names if traced["parent"].get(n) != traced["change"].get(n))
+        print(workload, "traced counts differ:", traced["differ"], flush=True)
+        report["workloads"][workload] = {
+            "pairs": pairs, "metrics": summarise(pairs, better), "traced": traced,
+        }
         args.out.write_text(json.dumps(report, indent=1) + "\n")  # kept after each workload
     return 0
 
