@@ -31,6 +31,9 @@ from .verify import DEFAULT_SEED, SUITES, run_suites
 
 # the largest basis `trees enum` or `prim-basis` builds; degree 7 over two colors fits
 MAX_BASIS_SIZE = 100_000
+# the largest degree `dims` tabulates: its cost grows about as n^3.5, to a
+# second or two at degree 1000 over 2 colors and a few seconds over 26
+MAX_DIMS_DEGREE = 1000
 
 
 class UsageError(Exception):
@@ -50,14 +53,17 @@ def _check_basis_size(what: str, degree: int, palette, shift: int) -> None:
         raise UsageError(f"degree {degree} gives {count} {what}, over the limit {MAX_BASIS_SIZE}")
 
 
+def _color_count(d: int) -> int:
+    if not 1 <= d <= 26:
+        raise UsageError("a color count must be between 1 and 26")
+    return d
+
+
 def _palette(arg: str) -> list[str]:
     """LIST|COUNT: 'a,b' names the colors, '3' takes the first 3 letters."""
     arg = arg.strip()
     if arg.isdigit():
-        d = int(arg)
-        if not 1 <= d <= 26:
-            raise UsageError("a color count must be between 1 and 26")
-        return [chr(ord("a") + i) for i in range(d)]
+        return [chr(ord("a") + i) for i in range(_color_count(int(arg)))]
     colors = [c.strip() for c in arg.split(",") if c.strip()]
     if not colors:
         raise UsageError(f"bad color list {arg!r}")
@@ -244,7 +250,9 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    rows = dimension_report(args.max, args.colors)
+    if args.max > MAX_DIMS_DEGREE:
+        raise UsageError(f"--max {args.max} is over the limit {MAX_DIMS_DEGREE}")
+    rows = dimension_report(args.max, _color_count(args.colors))
     ok = all(r.prim_ok and r.cofree_ok for r in rows)
     if args.json:
         print(json.dumps({

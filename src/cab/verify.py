@@ -7,7 +7,9 @@ negative control, that the reported value matched the derivation).  Every
 check but three is one ``_check`` call: laws, written once in ``linear``,
 over lazily generated inputs.  ``primitive-basis-ranks``,
 ``dimension-report`` and ``tensor-square-negative-control`` compare computed
-values with derived ones and print them, so they are built by hand.
+values with derived ones and print them, so they are built by hand.  A
+random sweep draws from its own stream, seeded by the seed and a check's
+name alone, so no check's inputs depend on the checks before it.
 """
 
 from __future__ import annotations
@@ -50,16 +52,22 @@ class Check:
     detail: str = ""
 
 
-def _check(name: str, detail, inputs, *laws) -> Check:
+def _stream(seed: int, name: str) -> random.Random:
+    return random.Random(f"{seed}:{name}")  # a str seed is hashed by SHA-512, not hash()
+
+
+def _check(seed: int, name: str, detail, inputs, *laws) -> Check:
     """The check that every law holds on every argument tuple of ``inputs``,
     of which there is at least one: a sweep over no input shows nothing.
 
     A law returns something true when it fails: a nonzero residual or a
-    failing predicate.  ``inputs`` is consumed lazily, so a generator that
-    draws from an rng draws in the same order as a loop evaluating each input
-    in turn.  ``detail`` is a string, or a function of the number of inputs
-    and the number of failures.
+    failing predicate.  ``inputs`` is an iterable, consumed lazily, or a
+    function of the check's stream ``_stream(seed, name)`` that returns one.
+    ``detail`` is a string, or a function of the number of inputs and the
+    number of failures.
     """
+    if callable(inputs):
+        inputs = inputs(_stream(seed, name))
     n = failures = 0
     for args in inputs:
         n += 1
@@ -75,10 +83,6 @@ def _tree_pool(max_degree: int, colors) -> dict[int, list[Tree]]:
     return {n: enumerate_trees(n, colors) for n in range(1, max_degree + 1)}
 
 
-def _random_tree(rng, pool, degree):
-    return LinComb.term(rng.choice(pool[degree]))
-
-
 def _random_degrees(rng, k, total):
     while True:
         ds = [rng.randint(1, total - k + 1) for _ in range(k)]
@@ -88,7 +92,7 @@ def _random_degrees(rng, k, total):
 
 def _random_trees(rng, pool, k, total) -> list[LinComb]:
     """k random basis trees whose degrees sum to at most ``total``."""
-    return [_random_tree(rng, pool, d) for d in _random_degrees(rng, k, total)]
+    return [LinComb.term(rng.choice(pool[d])) for d in _random_degrees(rng, k, total)]
 
 
 def _terms(*keys) -> tuple[LinComb, ...]:
@@ -128,11 +132,11 @@ def _dialgebra_laws(dot, circ):
 
 def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED):
     checks = []
-    rng = random.Random(seed)
+    check = partial(_check, seed)
 
     counts = [(n, ["a"], catalan(n)) for n in range(1, 9)] + [(2, ["a", "b"], 4 * 2)]
-    checks.append(_check("catalan-basis-counts", "degrees 1..8, d in {1,2}", counts,
-                         lambda n, colors, count: len(enumerate_trees(n, colors)) != count))
+    checks.append(check("catalan-basis-counts", "degrees 1..8, d in {1,2}", counts,
+                        lambda n, colors, count: len(enumerate_trees(n, colors)) != count))
 
     circle_assoc = partial(associativity_fails, circle)
     compat = partial(compatibility_law, dot, circle)
@@ -142,37 +146,36 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED):
         return (_terms(*xyz) for xyz in _graded(pool1, 3, max_degree))
 
     detail = lambda n, bad: f"{n} one-color triples, total degree <= {max_degree}"
-    checks.append(_check("circle-associativity-exhaustive", detail, triples(), circle_assoc))
-    checks.append(_check("compatibility-exhaustive", detail, triples(), compat))
+    checks.append(check("circle-associativity-exhaustive", detail, triples(), circle_assoc))
+    checks.append(check("compatibility-exhaustive", detail, triples(), compat))
 
     # no random draw has a degree above max(4, max_degree - 1), whatever the
     # exhaustive bound is
     pool2 = _tree_pool(max(4, max_degree - 1), ["a", "b"])
+    # drawn once, from the first check's stream: the second reads what the first cached
+    rng = _stream(seed, "circle-associativity-random")
     random_triples = [_random_trees(rng, pool2, 3, max_degree + 1) for _ in range(500)]
     detail = f"500 colored triples (d=2), total degree <= {max_degree + 1}"
-    checks.append(_check("circle-associativity-random", detail, random_triples, circle_assoc))
-    checks.append(_check("compatibility-random", detail, random_triples, compat))
+    checks.append(check("circle-associativity-random", detail, random_triples, circle_assoc))
+    checks.append(check("compatibility-random", detail, random_triples, compat))
 
-    weight_pairs = [
-        (rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
-        for _ in range(5)
-    ]
-    inputs = (
-        (partial(star, alpha=alpha, beta=beta), *_random_trees(rng, pool2, 3, 5))
-        for alpha, beta in weight_pairs
-        for _ in range(20)
-    )
-    checks.append(_check("star-associativity-random-weights",
-                         "5 rational weight pairs x 20 triples", inputs, associativity_fails))
+    def weighted_triples(rng):
+        for _ in range(5):
+            alpha, beta = rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for _ in range(20):
+                yield partial(star, alpha=alpha, beta=beta), *_random_trees(rng, pool2, 3, 5)
+
+    checks.append(check("star-associativity-random-weights",
+                        "5 rational weight pairs x 20 triples", weighted_triples, associativity_fails))
 
     pairs = _graded({d: pool2[d][:12] for d in range(1, 5)}, 2, 6)
-    checks.append(_check("circle-degree-and-integrality", "degree additive, integer coefficients",
-                         pairs, lambda t, w: any(
-                             key.degree != t.degree + w.degree or c.denominator != 1
-                             for key, c in circle(*_terms(t, w)).items()
-                         )))
+    checks.append(check("circle-degree-and-integrality", "degree additive, integer coefficients",
+                        pairs, lambda t, w: any(
+                            key.degree != t.degree + w.degree or c.denominator != 1
+                            for key, c in circle(*_terms(t, w)).items()
+                        )))
 
-    inputs = (
+    inputs = lambda rng: (
         (mul, *xyz)
         for xyz in (_random_trees(rng, pool2, 3, 5) for _ in range(60))
         for mul in (dot, circle, star)
@@ -182,16 +185,16 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED):
         br = partial(lie_bracket, mul)
         return br(br(x, y), z) + br(br(y, z), x) + br(br(z, x), y)
 
-    checks.append(_check("lie-brackets", "antisymmetry + Jacobi, 60 triples x 3 brackets", inputs,
-                         lambda mul, x, y, z: lie_bracket(mul, x, x), jacobi))
+    checks.append(check("lie-brackets", "antisymmetry + Jacobi, 60 triples x 3 brackets", inputs,
+                        lambda mul, x, y, z: lie_bracket(mul, x, x), jacobi))
 
     target = mat.truncated_polynomial_algebra(6)  # x∘y = x·X·y
     assign = {"a": [0, 1, 0, 0, 0, 0], "b": [1, 0, 1, 0, 0, 0]}
     ev = partial(evaluate, target, assign)
-    pairs = (_random_trees(rng, pool2, 2, 5) for _ in range(60))
-    checks.append(_check("evaluate-homomorphism", "both products, 60 pairs into a validated target",
-                         pairs, partial(homomorphism_fails, ev, dot, target.dot),
-                         partial(homomorphism_fails, ev, circle, target.circ)))
+    pairs = lambda rng: (_random_trees(rng, pool2, 2, 5) for _ in range(60))
+    checks.append(check("evaluate-homomorphism", "both products, 60 pairs into a validated target",
+                        pairs, partial(homomorphism_fails, ev, dot, target.dot),
+                        partial(homomorphism_fails, ev, circle, target.circ)))
     return checks
 
 
@@ -201,7 +204,7 @@ def suite_axioms(max_degree: int = 6, seed: int = DEFAULT_SEED):
 
 def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
     checks = []
-    rng = random.Random(seed)
+    check = partial(_check, seed)
     pool1 = _tree_pool(max_degree, ["a"])
     pool2 = _tree_pool(5, ["a", "b"])  # random sweeps draw degrees up to 5
     model = inf.tree_model()
@@ -210,32 +213,32 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
         return (_terms(*t) for t in _graded(pool1, 1, top))
 
     tree = lambda rng: rng.choice(pool2[rng.randint(1, 5)])
-    elements = itertools.chain(trees(max_degree), ((_random_element(rng, tree, 1),) for _ in range(40)))
-    checks.append(_check("coassociativity",
-                         lambda n, bad: f"{n - 40} one-color trees to degree {max_degree} + 40 random colored elements",
-                         elements, partial(coassociativity_law, model)))
-    checks.append(_check("closed-vs-recursive-coproduct",
-                         lambda n, bad: f"{n} one-color trees to degree {max_degree}",
-                         _graded(pool1, 1, max_degree),
-                         lambda t: inf.coproduct_closed(t) != inf.coproduct(LinComb.term(t))))
+    elements = lambda rng: itertools.chain(trees(max_degree), ((_random_element(rng, tree, 1),) for _ in range(40)))
+    checks.append(check("coassociativity",
+                        lambda n, bad: f"{n - 40} one-color trees to degree {max_degree} + 40 random colored elements",
+                        elements, partial(coassociativity_law, model)))
+    checks.append(check("closed-vs-recursive-coproduct",
+                        lambda n, bad: f"{n} one-color trees to degree {max_degree}",
+                        _graded(pool1, 1, max_degree),
+                        lambda t: inf.coproduct_closed(t) != inf.coproduct(LinComb.term(t))))
 
     def pairs():
         return (_terms(t, w) for t, w in _graded(pool1, 2, max_degree - 1))
 
     detail = lambda n, bad: f"{n} basis pairs, total degree <= {max_degree - 1}"
-    checks.append(_check("infinitesimal-dot", detail, pairs(),
-                         partial(infinitesimal_law, model, 1)))
-    checks.append(_check("infinitesimal-circle", detail, pairs(),
-                         partial(infinitesimal_law, model._replace(dot=model.circ), 1)))
+    checks.append(check("infinitesimal-dot", detail, pairs(),
+                        partial(infinitesimal_law, model, 1)))
+    checks.append(check("infinitesimal-circle", detail, pairs(),
+                        partial(infinitesimal_law, model._replace(dot=model.circ), 1)))
 
-    random_pairs = (_random_trees(rng, pool2, 2, 6) for _ in range(40))
-    checks.append(_check("joni-rota-star", "star(-1,1) has no x⊗y term; 40 random pairs", random_pairs,
-                         partial(infinitesimal_law, model._replace(dot=partial(star, alpha=-1, beta=1)), 0)))
+    random_pairs = lambda rng: (_random_trees(rng, pool2, 2, 6) for _ in range(40))
+    checks.append(check("joni-rota-star", "star(-1,1) has no x⊗y term; 40 random pairs", random_pairs,
+                        partial(infinitesimal_law, model._replace(dot=partial(star, alpha=-1, beta=1)), 0)))
 
-    triples = (_random_trees(rng, pool2, 3, 6) for _ in range(30))
-    checks.append(_check("coproduct-well-defined-combination",
-                         "Δ of the compatibility combination vanishes; 30 triples",
-                         triples, lambda *xyz: inf.coproduct(compatibility_law(dot, circle, *xyz))))
+    triples = lambda rng: (_random_trees(rng, pool2, 3, 6) for _ in range(30))
+    checks.append(check("coproduct-well-defined-combination",
+                        "Δ of the compatibility combination vanishes; 30 triples",
+                        triples, lambda *xyz: inf.coproduct(compatibility_law(dot, circle, *xyz))))
 
     def projector_fails(x, is_dot_product):
         """e kills a dot product; on a tree, e∘e = e and Δ∘e = 0."""
@@ -244,25 +247,21 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
             return ex
         return inf.primitive_projector(ex) != ex or inf.coproduct(ex)
 
-    elements = itertools.chain(
+    elements = lambda rng: itertools.chain(
         ((x, False) for (x,) in trees(min(max_degree, 6))),
         ((dot(*_random_trees(rng, pool2, 2, 5)), True) for _ in range(30)),
     )
-    checks.append(_check("projector-idempotent-primitive", "e∘e = e, Δ∘e = 0, e kills dot products",
-                         elements, projector_fails))
-    checks.append(_check("projector-series-crosscheck", "recursion equals the alternating-sign series",
-                         trees(min(max_degree, 6)),
-                         lambda x: inf.primitive_projector_series(x) != inf.primitive_projector(x)))
+    checks.append(check("projector-idempotent-primitive", "e∘e = e, Δ∘e = 0, e kills dot products",
+                        elements, projector_fails))
+    checks.append(check("projector-series-crosscheck", "recursion equals the alternating-sign series",
+                        trees(min(max_degree, 6)),
+                        lambda x: inf.primitive_projector_series(x) != inf.primitive_projector(x)))
 
-    prims = {
-        n: inf.primitive_basis(n, ["a", "b"]) for n in (1, 2)
-    }
-    inputs = (
-        (arity, _random_primitive_tuple(rng, prims, arity)) for arity in range(2, 6) for _ in range(10)
-    )
-    checks.append(_check("primitives-closed-under-nops",
-                         "Δ(N_n(p₁..pₙ)) = 0 for primitive arguments, n <= 5",
-                         inputs, lambda arity, ps: inf.coproduct(inf.n_op(arity, ps))))
+    prims = {n: inf.primitive_basis(n, ["a", "b"]) for n in (1, 2)}
+    inputs = lambda rng: ((arity, _random_primitive_tuple(rng, prims, arity)) for arity in range(2, 6) for _ in range(10))
+    checks.append(check("primitives-closed-under-nops",
+                        "Δ(N_n(p₁..pₙ)) = 0 for primitive arguments, n <= 5",
+                        inputs, lambda arity, ps: inf.coproduct(inf.n_op(arity, ps))))
     return checks
 
 
@@ -282,9 +281,9 @@ def _random_primitive_tuple(rng, prims, arity):
     return ps
 
 
-def _relation_inputs(rng, prims, specs, gens, n_random):
+def _relation_inputs(prims, specs, gens, n_random, rng):
     """(name, arguments) for each ``(name, arity)`` spec: every tuple of
-    ``gens``, then ``n_random`` random tuples of primitives."""
+    ``gens``, then ``n_random`` random tuples of primitives from ``rng``."""
     for name, arity in specs:
         for xs in itertools.product(gens, repeat=arity):
             yield name, list(xs)
@@ -295,33 +294,33 @@ def _relation_inputs(rng, prims, specs, gens, n_random):
 def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED):
     checks = []
     max_n = min(max_degree, 6)
-    rng = random.Random(seed)
+    check = partial(_check, seed)
     gens = [LinComb.term(t) for t in enumerate_trees(1, ["a", "b"])]
     prims = {n: inf.primitive_basis(n, ["a", "b"]) for n in (1, 2)}
 
     relations = [("R1", n) for n in range(2, max_n + 1)] + ["low2", "low3", "low4"]
     specs = [(rel, inf.n_relation_arity(rel)) for rel in relations]
-    inputs = _relation_inputs(rng, prims, specs, gens, 100)
-    checks.append(_check("relations-R1-and-low-degree",
-                         lambda n, bad: f"R1(2..{max_n}) + low2..low4; {n} evaluations",
-                         inputs, inf.n_relation_residual))
+    inputs = partial(_relation_inputs, prims, specs, gens, 100)
+    checks.append(check("relations-R1-and-low-degree",
+                        lambda n, bad: f"R1(2..{max_n}) + low2..low4; {n} evaluations",
+                        inputs, inf.n_relation_residual))
 
     relations = [("R2", 3), ("R2", 4), ("R2", 5), ("R3", 3, 3), ("R3", 3, 4), ("R3", 4, 3), ("R3", 4, 4)]
     specs = [(rel, inf.n_relation_arity(rel)) for rel in relations]
-    inputs = _relation_inputs(rng, prims, specs, gens[:1], 25)
-    checks.append(_check("relations-R2-R3-reconstructed",
-                         lambda n, bad: f"index-repaired general forms; {n} evaluations",
-                         inputs, inf.n_relation_residual))
+    inputs = partial(_relation_inputs, prims, specs, gens[:1], 25)
+    checks.append(check("relations-R2-R3-reconstructed",
+                        lambda n, bad: f"index-repaired general forms; {n} evaluations",
+                        inputs, inf.n_relation_residual))
 
     lemmas = [(name, 3) for name in ("lemma_i", "lemma_ii")]
     inductions = [(name, arity) for name in ("ind_i", "ind_ii") for arity in range(2, 6)]
-    inputs = itertools.chain(
-        _relation_inputs(rng, prims, lemmas, gens, 100),
-        _relation_inputs(rng, prims, inductions, gens, 50),
+    inputs = lambda rng: itertools.chain(
+        _relation_inputs(prims, lemmas, gens, 100, rng),
+        _relation_inputs(prims, inductions, gens, 50, rng),
     )
-    checks.append(_check("auxiliary-identities",
-                         lambda n, bad: f"lemma and induction identities; {n} evaluations",
-                         inputs, inf.n_aux_residual))
+    checks.append(check("auxiliary-identities",
+                        lambda n, bad: f"lemma and induction identities; {n} evaluations",
+                        inputs, inf.n_aux_residual))
 
     bad = []
     for d, colors in ((1, ["a"]), (2, ["a", "b"])):
@@ -350,30 +349,30 @@ def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED):
 
 def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
     checks = []
-    rng = random.Random(seed)
+    check = partial(_check, seed)
     model = mat.word_model()
     words = {
         n: mat.enumerate_words(n, ["a", "b"])
         for n in range(1, max(5, max_degree - 1))
     }
 
-    checks.append(_check("word-matching-laws-exhaustive",
-                         lambda n, bad: f"{n} word triples (d=2), total degree <= {max_degree}, laws hold on the nose",
-                         _graded(words, 3, max_degree), *_dialgebra_laws(mat.m_dot, mat.m_circ)))
+    checks.append(check("word-matching-laws-exhaustive",
+                        lambda n, bad: f"{n} word triples (d=2), total degree <= {max_degree}, laws hold on the nose",
+                        _graded(words, 3, max_degree), *_dialgebra_laws(mat.m_dot, mat.m_circ)))
 
     word = lambda rng: rng.choice(words[rng.randint(1, 4)])
-    triples = ([_random_element(rng, word, 0.5) for _ in range(3)] for _ in range(60))
-    checks.append(_check("word-star-joni-rota",
-                         "∗ = ∘ − · associative with no x⊗y coproduct term; 60 random triples",
-                         triples, partial(associativity_fails, mat.word_star),
-                         lambda x, y, z: infinitesimal_law(model._replace(dot=mat.word_star), 0, x, y)))
+    triples = lambda rng: ([_random_element(rng, word, 0.5) for _ in range(3)] for _ in range(60))
+    checks.append(check("word-star-joni-rota",
+                        "∗ = ∘ − · associative with no x⊗y coproduct term; 60 random triples",
+                        triples, partial(associativity_fails, mat.word_star),
+                        lambda x, y, z: infinitesimal_law(model._replace(dot=mat.word_star), 0, x, y)))
 
     trees2 = {d: ts[:16] for d, ts in _tree_pool(5, ["a", "b"]).items()}
     pairs = (_terms(t, w) for t, w in _graded(trees2, 2, 6))
-    checks.append(_check("quotient-homomorphism",
-                         lambda n, bad: f"normalize intertwines both products; {n} pairs", pairs,
-                         partial(homomorphism_fails, mat.normalize_lin, dot, mat.word_dot),
-                         partial(homomorphism_fails, mat.normalize_lin, circle, mat.word_circ)))
+    checks.append(check("quotient-homomorphism",
+                        lambda n, bad: f"normalize intertwines both products; {n} pairs", pairs,
+                        partial(homomorphism_fails, mat.normalize_lin, dot, mat.word_dot),
+                        partial(homomorphism_fails, mat.normalize_lin, circle, mat.word_circ)))
 
     def normalized(key: Tensor) -> Tensor:
         return Tensor(mat.normalize(key.legs[0]), mat.normalize(key.legs[1]))
@@ -381,29 +380,29 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
     trees = (
         (t,) for n in range(1, 7) for t in enumerate_trees(n, ["a", "b"] if n <= 3 else ["a"])
     )
-    checks.append(_check("coproduct-commuting-square",
-                         lambda n, bad: f"word coproduct of the image = image of the tree coproduct; {n} trees to degree 6",
-                         trees, lambda t: (
-                             mat.word_coproduct(LinComb.term(mat.normalize(t)))
-                             != inf.coproduct(LinComb.term(t)).map_keys(normalized)
-                         )))
+    checks.append(check("coproduct-commuting-square",
+                        lambda n, bad: f"word coproduct of the image = image of the tree coproduct; {n} trees to degree 6",
+                        trees, lambda t: (
+                            mat.word_coproduct(LinComb.term(mat.normalize(t)))
+                            != inf.coproduct(LinComb.term(t)).map_keys(normalized)
+                        )))
 
-    checks.append(_check("composition-count",
-                         "enumerated 2^(n-1) for n <= 12; NOTE: differs from the stated 2^n",
-                         ((n,) for n in range(1, 13)),
-                         lambda n: len(mat.compositions(n)) != 2 ** (n - 1)))
+    checks.append(check("composition-count",
+                        "enumerated 2^(n-1) for n <= 12; NOTE: differs from the stated 2^n",
+                        ((n,) for n in range(1, 13)),
+                        lambda n: len(mat.compositions(n)) != 2 ** (n - 1)))
 
     pairs = itertools.product(words[1] + words[2] + words[3], repeat=2)
-    checks.append(_check("composition-homomorphism",
-                         "block shapes intertwine word and composition products", pairs,
-                         partial(homomorphism_fails, mat.word_shape, mat.m_dot, mat.comp_dot),
-                         partial(homomorphism_fails, mat.word_shape, mat.m_circ, mat.comp_circ)))
+    checks.append(check("composition-homomorphism",
+                        "block shapes intertwine word and composition products", pairs,
+                        partial(homomorphism_fails, mat.word_shape, mat.m_dot, mat.comp_dot),
+                        partial(homomorphism_fails, mat.word_shape, mat.m_circ, mat.comp_circ)))
 
     word_pair = lambda rng: Tensor(*(rng.choice(words[rng.randint(1, 3)]) for _ in range(2)))
-    triples = ([_random_element(rng, word_pair, 0.5) for _ in range(3)] for _ in range(40))
-    checks.append(_check("tensor-square-star-associative",
-                         "40 random triples in the word dialgebra tensor square",
-                         triples, partial(associativity_fails, model.square_star)))
+    triples = lambda rng: ([_random_element(rng, word_pair, 0.5) for _ in range(3)] for _ in range(40))
+    checks.append(check("tensor-square-star-associative",
+                        "40 random triples in the word dialgebra tensor square",
+                        triples, partial(associativity_fails, model.square_star)))
 
     left_zero = lambda p, q: p
     right_zero = lambda p, q: q
@@ -414,39 +413,39 @@ def suite_matching(max_degree: int = 7, seed: int = DEFAULT_SEED):
     checks.append(Check("tensor-square-negative-control", bool(residual),
                         f"non-compatible pair reports nonzero associativity residual: {residual}"))
 
-    checks.extend(_semihom_checks(rng))
+    checks.extend(_semihom_checks(check))
     return checks
 
 
-def _semihom_checks(rng) -> list[Check]:
+def _semihom_checks(check) -> list[Check]:
     checks = []
     m = 8
     A = mat.truncated_polynomial_algebra(m)
     model = A.model
 
-    checks.append(_check("polynomial-coderivation",
-                         f"Δ(R(Xⁿ)) matches for n <= {m - 2} (truncation-safe inputs)",
-                         ((A.basis(n),) for n in range(m - 1)), partial(coderivation_law, model)))
+    checks.append(check("polynomial-coderivation",
+                        f"Δ(R(Xⁿ)) matches for n <= {m - 2} (truncation-safe inputs)",
+                        ((A.basis(n),) for n in range(m - 1)), partial(coderivation_law, model)))
 
     pairs = ((A.basis(i), A.basis(j)) for i in range(m) for j in range(m) if i + j + 1 < m)
-    checks.append(_check("polynomial-bimatching",
-                         lambda n, bad: f"Δ(x∘y) = Δ(x)∗Δ(y) and Δ(x·y) = Δ(x)·Δ(y) on {n} truncation-safe basis pairs",
-                         pairs, partial(bimatching_law, model), partial(multiplicativity_law, model)))
+    checks.append(check("polynomial-bimatching",
+                        lambda n, bad: f"Δ(x∘y) = Δ(x)∗Δ(y) and Δ(x·y) = Δ(x)·Δ(y) on {n} truncation-safe basis pairs",
+                        pairs, partial(bimatching_law, model), partial(multiplicativity_law, model)))
 
-    triples = (
+    triples = lambda rng: (
         [A.vector([rng.randint(-2, 2) for _ in range(m)]) for _ in range(3)] for _ in range(30)
     )
-    checks.append(_check("polynomial-matching-laws",
-                         "the induced pair is a matching dialgebra; 30 random triples",
-                         triples, *_dialgebra_laws(A.dot, A.circ)))
+    checks.append(check("polynomial-matching-laws",
+                        "the induced pair is a matching dialgebra; 30 random triples",
+                        triples, *_dialgebra_laws(A.dot, A.circ)))
 
     # R(x) = a·x on a tiny group algebra (basis 1, g with g² = 1)
     dot_table = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
     B = mat.left_multiplication_semihom(dot_table, [1, 1])
     a = B.r(B.basis(0))
-    pairs = ([B.vector([rng.randint(-2, 2) for _ in range(2)]) for _ in range(2)] for _ in range(20))
-    checks.append(_check("left-multiplication-semihom", "R(x) = a·x induces x∘y = x·a·y",
-                         pairs, lambda x, y: B.circ(x, y) != B.dot(x, B.dot(a, y))))
+    pairs = lambda rng: ([B.vector([rng.randint(-2, 2) for _ in range(2)]) for _ in range(2)] for _ in range(20))
+    checks.append(check("left-multiplication-semihom", "R(x) = a·x induces x∘y = x·a·y",
+                        pairs, lambda x, y: B.circ(x, y) != B.dot(x, B.dot(a, y))))
     return checks
 
 
@@ -456,7 +455,7 @@ def _semihom_checks(rng) -> list[Check]:
 
 def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAULT_SEED):
     checks = []
-    rng = random.Random(seed)
+    check = partial(_check, seed)
     S = tuple(points)
     e = pth.path_unit(S)
     model = pth.path_model()
@@ -471,9 +470,9 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
     def full_basis():
         return (_terms(p) for p in basis_full)
 
-    checks.append(_check("path-unit",
-                         f"e = Σ p[i,i] is a two-sided unit on {len(basis_full)} basis paths",
-                         full_basis(), lambda x: mul(e, x) != x or mul(x, e) != x))
+    checks.append(check("path-unit",
+                        f"e = Σ p[i,i] is a two-sided unit on {len(basis_full)} basis paths",
+                        full_basis(), lambda x: mul(e, x) != x or mul(x, e) != x))
 
     # chained triples keep the sweep meaningful: unmatched endpoints give 0 = 0
     ends = defaultdict(list)
@@ -489,40 +488,40 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
 
     # on bare keys: a chained product is never None
     mul_assoc, circ_assoc, matching = _dialgebra_laws(pth._mul_paths, pth._circ_paths)
-    checks.append(_check("path-associativity-exhaustive",
-                         lambda n, bad: f"both products on {n} chained basis triples, interior <= 2",
-                         chained_triples(), mul_assoc, circ_assoc))
-    checks.append(_check("path-matching-laws-exhaustive",
-                         lambda n, bad: f"both matching laws on {n} chained basis triples, interior <= 2",
-                         chained_triples(), matching))
+    checks.append(check("path-associativity-exhaustive",
+                        lambda n, bad: f"both products on {n} chained basis triples, interior <= 2",
+                        chained_triples(), mul_assoc, circ_assoc))
+    checks.append(check("path-matching-laws-exhaustive",
+                        lambda n, bad: f"both matching laws on {n} chained basis triples, interior <= 2",
+                        chained_triples(), matching))
 
     path = lambda rng: rng.choice(basis_full)
-    triples = ([_random_element(rng, path, 0.6) for _ in range(3)] for _ in range(120))
-    checks.append(_check("path-laws-random-lincombs",
-                         f"120 random linear-combination triples, interior <= {max_interior}",
-                         triples, *_dialgebra_laws(mul, circ)))
+    triples = lambda rng: ([_random_element(rng, path, 0.6) for _ in range(3)] for _ in range(120))
+    checks.append(check("path-laws-random-lincombs",
+                        f"120 random linear-combination triples, interior <= {max_interior}",
+                        triples, *_dialgebra_laws(mul, circ)))
 
-    checks.append(_check("path-R-semihom",
-                         lambda n, bad: f"R(x·y) = R(x)·y and x∘y = x·R(y) on {n} basis pairs",
-                         small_pairs(),
-                         lambda x, y: pth.path_R(mul(x, y)) != mul(pth.path_R(x), y),
-                         lambda x, y: circ(x, y) != mul(x, pth.path_R(y))))
+    checks.append(check("path-R-semihom",
+                        lambda n, bad: f"R(x·y) = R(x)·y and x∘y = x·R(y) on {n} basis pairs",
+                        small_pairs(),
+                        lambda x, y: pth.path_R(mul(x, y)) != mul(pth.path_R(x), y),
+                        lambda x, y: circ(x, y) != mul(x, pth.path_R(y))))
 
     edges = (_terms(pth.Path((a, b))) for a in S for b in S)
-    checks.append(_check("path-grouplike", "Δ(p[a,b]) = p[a,b] ⊗ p[a,b]",
-                         edges, lambda p: pth.path_coproduct(p) != tensor(p, p)))
+    checks.append(check("path-grouplike", "Δ(p[a,b]) = p[a,b] ⊗ p[a,b]",
+                        edges, lambda p: pth.path_coproduct(p) != tensor(p, p)))
 
-    checks.append(_check("path-coassociativity",
-                         f"exhaustive on {len(basis_full)} paths, interior <= {max_interior}",
-                         full_basis(), partial(coassociativity_law, model)))
-    checks.append(_check("path-coderivation",
-                         f"Δ∘R = (R⊗id + id⊗R)∘Δ exhaustively on {len(basis_full)} paths",
-                         full_basis(), partial(coderivation_law, model)))
+    checks.append(check("path-coassociativity",
+                        f"exhaustive on {len(basis_full)} paths, interior <= {max_interior}",
+                        full_basis(), partial(coassociativity_law, model)))
+    checks.append(check("path-coderivation",
+                        f"Δ∘R = (R⊗id + id⊗R)∘Δ exhaustively on {len(basis_full)} paths",
+                        full_basis(), partial(coderivation_law, model)))
 
-    checks.append(_check("path-mult-diagnostic-dot",
-                         lambda n, bad: f"Δ(x·y) − Δ(x)·Δ(y): zero on all {n} swept pairs" if bad == 0
-                         else f"Δ(x·y) − Δ(x)·Δ(y): nonzero on {bad} pairs",
-                         small_pairs(), partial(multiplicativity_law, model)))
+    checks.append(check("path-mult-diagnostic-dot",
+                        lambda n, bad: f"Δ(x·y) − Δ(x)·Δ(y): zero on all {n} swept pairs" if bad == 0
+                        else f"Δ(x·y) − Δ(x)·Δ(y): nonzero on {bad} pairs",
+                        small_pairs(), partial(multiplicativity_law, model)))
 
     x = LinComb.term(pth.Path(("a", "x")))
     y = LinComb.term(pth.Path(("x", "b")))
@@ -534,14 +533,14 @@ def suite_path(points=("a", "b", "x"), max_interior: int = 4, seed: int = DEFAUL
         ]
     )
     circ_model = model._replace(dot=circ, square_dot=partial(mat.tensor_square_dot, dot_fn=pth._circ_paths))
-    checks.append(_check("path-mult-diagnostic-circ",
-                         "componentwise ∘-multiplicativity fails on p[a,x], p[x,b] with the derived residual",
-                         [(x, y)], lambda p, q: multiplicativity_law(circ_model, p, q) != expected))
+    checks.append(check("path-mult-diagnostic-circ",
+                        "componentwise ∘-multiplicativity fails on p[a,x], p[x,b] with the derived residual",
+                        [(x, y)], lambda p, q: multiplicativity_law(circ_model, p, q) != expected))
 
-    checks.append(_check("path-bimatching-diagnostic",
-                         lambda n, bad: f"Δ(x∘y) − Δ(x)∗Δ(y): zero on all {n} swept pairs (incl. e,e)" if bad == 0
-                         else f"Δ(x∘y) − Δ(x)∗Δ(y): nonzero on {bad} pairs",
-                         itertools.chain(small_pairs(), [(e, e)]), partial(bimatching_law, model)))
+    checks.append(check("path-bimatching-diagnostic",
+                        lambda n, bad: f"Δ(x∘y) − Δ(x)∗Δ(y): zero on all {n} swept pairs (incl. e,e)" if bad == 0
+                        else f"Δ(x∘y) − Δ(x)∗Δ(y): nonzero on {bad} pairs",
+                        itertools.chain(small_pairs(), [(e, e)]), partial(bimatching_law, model)))
     return checks
 
 

@@ -184,6 +184,7 @@ def test_oversized_bases_are_refused_before_enumerating(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "enumerate_trees", refuse)
     monkeypatch.setattr(cli, "primitive_basis", refuse)
+    monkeypatch.setattr(cli, "dimension_report", refuse)
     for argv, err in [
         (("trees", "enum", "--degree", "8", "--colors", "2"),
          "degree 8 gives 366080 trees, over the limit 100000"),
@@ -193,6 +194,11 @@ def test_oversized_bases_are_refused_before_enumerating(capsys, monkeypatch):
          "degree 8 gives 109824 primitives, over the limit 100000"),
         (("prim-basis", "--degree", "1000000000", "--colors", "1", "--json"),
          "degree 1000000000 gives more than 100000 primitives, over the limit 100000"),
+        (("dims", "--max", "1001", "--colors", "2"), "--max 1001 is over the limit 1000"),
+        (("dims", "--max", "100000"), "--max 100000 is over the limit 1000"),
+        (("dims", "--max", "600", "--colors", "1000000"), "a color count must be between 1 and 26"),
+        (("dims", "--max", "6", "--colors", "0", "--json"), "a color count must be between 1 and 26"),
+        (("dims", "--max", "6", "--colors", "27"), "a color count must be between 1 and 26"),
     ]:
         assert run(capsys, *argv) == (1, "", f"error: {err}\n")
 
@@ -201,8 +207,10 @@ def test_largest_bases_under_the_limit_are_enumerated(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(cli, "enumerate_trees", lambda n, colors: built.append(n) or [])
     monkeypatch.setattr(cli, "primitive_basis", lambda n, colors: built.append(n) or [])
+    monkeypatch.setattr(cli, "dimension_report", lambda n, d: built.append(n) or [])
     for argv in (("trees", "enum", "--degree", "7", "--colors", "2"),
                  ("trees", "enum", "--degree", "6", "--colors", "3"),  # 96,228 trees
-                 ("prim-basis", "--degree", "7", "--colors", "2")):
+                 ("prim-basis", "--degree", "7", "--colors", "2"),
+                 ("dims", "--max", "1000", "--colors", "26")):
         assert run(capsys, *argv)[0] == 0
-    assert built == [7, 6, 7]
+    assert built == [7, 6, 7, 1000]

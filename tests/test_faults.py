@@ -1,16 +1,19 @@
 """Planted faults: one wrong basis map fails exactly the checks that read it.
 
-Each case replaces one basis map with ``monkeypatch`` and runs one suite.
-The suites reach the maps through the model records, which are built from
-the modules' current bindings, so a record built once and kept would let a
-fault pass unseen.  The memo caches are fresh for each run, so no faulty
-entry leaks into a later run or test.
+Each case replaces one basis map or enumerator with ``monkeypatch`` and
+runs one suite.  The suites reach the maps through the model records, which
+are built from the modules' current bindings, so a record built once and
+kept would let a fault pass unseen.  ``verify`` binds ``enumerate_trees`` by
+``from … import``, so that fault patches ``verify``'s binding.  The four
+memo caches are fresh for each run, so no faulty entry leaks into a later
+run or test.
 """
 
 import pytest
 
-from cab import infinitesimal, matching, paths, verify
+from cab import algebra, infinitesimal, matching, paths, verify
 from cab.linear import LinComb, Tensor
+from cab.trees import is_irreducible
 
 
 def drop_first_cut(orig):
@@ -32,7 +35,35 @@ def block_cuts_only(orig):
     )
 
 
+def keep_glued_point(orig):
+    """The path product keeping the glued point when ``p`` has 3+ points."""
+    return lambda p, q: orig(p, q) if len(p) < 3 or p[-1] != q[0] else paths.Path(p + q[1:])
+
+
 FAULTS = {
+    "circle-product": (
+        algebra, "circle_trees",
+        lambda orig: lambda t, w: (
+            -1 * orig(t, w) if not is_irreducible(w) and t.degree + w.degree >= 4 else orig(t, w)
+        ),
+        lambda: verify.suite_axioms(max_degree=4),
+        ["circle-associativity-exhaustive", "circle-associativity-random", "compatibility-exhaustive",
+         "compatibility-random", "evaluate-homomorphism", "lie-brackets",
+         "star-associativity-random-weights"],
+    ),
+    "path-product": (
+        paths, "_mul_paths", keep_glued_point,
+        lambda: verify.suite_path(points=("a", "b"), max_interior=2),
+        ["path-R-semihom", "path-associativity-exhaustive", "path-bimatching-diagnostic",
+         "path-laws-random-lincombs", "path-matching-laws-exhaustive", "path-mult-diagnostic-dot",
+         "path-unit"],
+    ),
+    "tree-enumeration": (
+        verify, "enumerate_trees",
+        lambda orig: lambda n, colors: orig(n, colors)[:-1] if n >= 3 else orig(n, colors),
+        lambda: verify.suite_axioms(max_degree=4),
+        ["catalan-basis-counts"],
+    ),
     "path-coproduct": (
         paths, "_coproduct_path", drop_first_cut,
         lambda: verify.suite_path(points=("a", "b"), max_interior=2),
@@ -56,8 +87,8 @@ FAULTS = {
 
 
 def fresh_caches(monkeypatch):
-    for module, name in ((infinitesimal, "_COPRODUCT_CACHE"), (infinitesimal, "_PROJECTOR_CACHE"),
-                         (paths, "_COPRODUCT_PATH_CACHE")):
+    for module, name in ((algebra, "_CIRCLE_CACHE"), (infinitesimal, "_COPRODUCT_CACHE"),
+                         (infinitesimal, "_PROJECTOR_CACHE"), (paths, "_COPRODUCT_PATH_CACHE")):
         monkeypatch.setattr(module, name, {})
 
 

@@ -2,6 +2,10 @@
 sweep domains against the loops they replace."""
 
 import itertools
+import os
+import subprocess
+import sys
+from functools import partial
 
 import pytest
 
@@ -9,7 +13,9 @@ from cab import paths as pth
 from cab import verify
 from cab.matching import enumerate_words
 from cab.trees import enumerate_trees
-from cab.verify import Check, _check, _graded, suite_axioms, suite_coalgebra, suite_path
+from cab.verify import (
+    Check, _check, _graded, suite_axioms, suite_coalgebra, suite_matching, suite_nalgebra, suite_path,
+)
 
 
 def test_check_runs_every_law_on_every_input_lazily_in_order():
@@ -23,7 +29,7 @@ def test_check_runs_every_law_on_every_input_lazily_in_order():
     def law(tag, fails_on):
         return lambda i, j: log.append((tag, i, j)) or i in fails_on
 
-    check = _check("c", lambda n, bad: f"{n} inputs, {bad} failures",
+    check = _check(7, "c", lambda n, bad: f"{n} inputs, {bad} failures",
                    inputs(), law("p", {1}), law("q", {1, 2}))
     assert log == [
         ("draw", 0), ("p", 0, 0), ("q", 0, 0),
@@ -31,8 +37,59 @@ def test_check_runs_every_law_on_every_input_lazily_in_order():
         ("draw", 2), ("p", 2, 20), ("q", 2, 20),
     ]
     assert check == Check("c", False, "3 inputs, 3 failures")
-    assert _check("d", "fixed", [(1, 2)], lambda i, j: 0) == Check("d", True, "fixed")
-    assert _check("e", "fixed", [], law("r", set())) == Check("e", False, "fixed")  # shows nothing
+    assert _check(7, "d", "fixed", [(1, 2)], lambda i, j: 0) == Check("d", True, "fixed")
+    assert _check(7, "e", "fixed", [], law("r", set())) == Check("e", False, "fixed")  # shows nothing
+
+
+def inputs_seen(patch, suite, name, alone):
+    """The rendered argument tuples that the laws of check ``name`` see in a
+    run of ``suite``, with the other checks run or, if ``alone``, returned
+    unevaluated.  ``patch(verify, "_check", spy)`` installs the spy."""
+    seen = []
+
+    def spy(seed, check_name, detail, inputs, *laws):
+        if check_name == name:
+            laws = (lambda *args: seen.append(repr(args)), *laws)
+        elif alone:
+            return Check(check_name, True)
+        return _check(seed, check_name, detail, inputs, *laws)
+
+    patch(verify, "_check", spy)
+    suite()
+    return seen
+
+
+ONE_RANDOM_CHECK_PER_SUITE = {
+    "lie-brackets": suite_axioms,
+    "primitives-closed-under-nops": suite_coalgebra,
+    "auxiliary-identities": suite_nalgebra,
+    "polynomial-matching-laws": suite_matching,
+}
+
+
+@pytest.mark.parametrize("name", ONE_RANDOM_CHECK_PER_SUITE)
+def test_random_check_draws_the_same_inputs_alone_as_in_its_suite(monkeypatch, name):
+    suite = partial(ONE_RANDOM_CHECK_PER_SUITE[name], max_degree=3)
+    in_suite = inputs_seen(monkeypatch.setattr, suite, name, False)
+    assert in_suite
+    assert inputs_seen(monkeypatch.setattr, suite, name, True) == in_suite
+
+
+def test_random_check_draws_the_same_inputs_under_any_hash_seed():
+    code = (
+        "import test_verify; from cab import verify;"
+        "print(test_verify.inputs_seen(setattr, lambda: verify.suite_coalgebra(max_degree=3),"
+        " 'primitives-closed-under-nops', True))"
+    )
+    path = os.pathsep.join([os.path.dirname(__file__), *sys.path])
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert runs[0] == runs[1] != "[]\n"
 
 
 def _failing(checks):
