@@ -208,7 +208,7 @@ def _cmd_nop(args) -> int:
     if len(args.exprs) != args.n:
         raise UsageError(f"nop --n {args.n} needs exactly {args.n} expressions")
     xs = [LinComb.term(parse_tree(e)) for e in args.exprs]
-    _emit_lincomb(n_op(args.n, xs), args.json)
+    _emit_lincomb(n_op(xs), args.json)
     return 0
 
 

@@ -16,9 +16,10 @@ The n-ary operations
 
     N_n(x₁,...,xₙ) = (x₁·...·x_{n-1})∘xₙ − x₁·((x₂·...·x_{n-1})∘xₙ)
 
-close on primitives and satisfy the arity-mixing relations checked by
-``n_relation_residual`` (every one an instance of R3(n, r)) and
-``n_aux_residual``.
+close on primitives.  Each is called by its arguments alone: ``n_op(xs)`` is
+N_n with n = len(xs).  They satisfy the arity-mixing relations R3(n, r),
+checked by ``n_relation_residual(n, r, xs)``, and the induction identities
+checked by ``n_aux_residual``.
 """
 
 from __future__ import annotations
@@ -156,16 +157,15 @@ def primitive_projector_series(x: LinComb) -> LinComb:
     return LinComb.sum(pairs)
 
 
-def n_op(n: int, xs: Sequence[LinComb]) -> LinComb:
-    """N_n(x₁,...,xₙ) = (x₁·...·x_{n-1})∘xₙ − x₁·((x₂·...·x_{n-1})∘xₙ).
+def n_op(xs: Sequence[LinComb]) -> LinComb:
+    """N_n(x₁,...,xₙ) = (x₁·...·x_{n-1})∘xₙ − x₁·((x₂·...·x_{n-1})∘xₙ), n = len(xs).
 
     N₂(x,y) = x∘y − x·y; for n >= 3 the defining expression, which also equals
     N₃(x₁, x₂·...·x_{n-1}, xₙ).
     """
+    n = len(xs)
     if n < 2:
         raise ValueError("n-ary operations start at arity 2")
-    if len(xs) != n:
-        raise ValueError(f"expected {n} arguments, got {len(xs)}")
     if n == 2:
         x, y = xs
         return circle(x, y) - dot(x, y)
@@ -173,99 +173,62 @@ def n_op(n: int, xs: Sequence[LinComb]) -> LinComb:
     return circle(dot(xs[0], middle), xs[n - 1]) - dot(xs[0], circle(middle, xs[n - 1]))
 
 
-# every relation is R3(n, r): (name, number of parameters) -> (n, r) from them
-_RELATION_SHAPES = {
-    ("R1", 1): lambda n: (n, 2),
-    ("R2", 1): lambda n: (2, n),
-    ("R3", 2): lambda n, r: (n, r),
-    ("low2", 0): lambda: (3, 2),
-    ("low3", 0): lambda: (2, 3),
-    ("low4", 0): lambda: (3, 3),
-}
+def n_relation_residual(n: int, r: int, xs: Sequence[LinComb]) -> LinComb:
+    """LHS − RHS of the relation R3(n, r) on its n + r − 1 arguments.
 
-
-def _relation_shape(rel) -> tuple[int, int]:
-    """The (n, r) for which ``rel`` is the relation R3(n, r)."""
-    parts = (rel,) if isinstance(rel, str) else rel
-    make = None
-    if isinstance(parts, (tuple, list)) and parts:
-        make = _RELATION_SHAPES.get((parts[0], len(parts) - 1))
-    shape = make(*parts[1:]) if make else None
-    if shape is None or not all(isinstance(k, int) and k >= 2 for k in shape):
-        raise ValueError(f"unknown relation {rel!r}")
-    return shape
-
-
-def n_relation_arity(rel) -> int:
-    """Number of arguments the relation ``rel`` takes: n + r − 1 for R3(n, r)."""
-    n, r = _relation_shape(rel)
-    return n + r - 1
-
-
-def n_relation_residual(rel, xs: Sequence[LinComb]) -> LinComb:
-    """LHS − RHS of a defining relation of the primitive operations.
-
-    ``rel`` is ("R3", n, r) for n, r >= 2, or one of its instances:
-    ("R1", n) is R3(n, 2), ("R2", n) is R3(2, n), and the literal low-degree
-    relations "low2", "low3", "low4" are R3(3, 2), R3(2, 3), R3(3, 3).
-    Always zero in the tree algebra.
+    Every defining relation of the primitive operations is one of these: the
+    paper's R1(n) is R3(n, 2), R2(n) is R3(2, n), and its low-degree relations
+    low2, low3, low4 are R3(3, 2), R3(2, 3), R3(3, 3).  Always zero in the
+    tree algebra.
     """
-    n, r = _relation_shape(rel)
+    if not all(isinstance(k, int) and k >= 2 for k in (n, r)):
+        raise ValueError(f"R3(n, r) needs integers n, r >= 2, got {n!r}, {r!r}")
     if len(xs) != n + r - 1:
-        raise ValueError(f"relation {rel!r} takes {n + r - 1} arguments")
+        raise ValueError(f"R3({n}, {r}) takes {n + r - 1} arguments, got {len(xs)}")
     xs = list(xs)
-    N = lambda args: n_op(len(args), args)
 
     # argument layout: x, y₁..y_{n-2}, z, t₁..t_{r-2}, w
     z = xs[n - 1]
     ts = xs[n : n + r - 2]
     w = xs[n + r - 2]
-    lhs = N(xs[: n - 1] + [N([z] + ts + [w])])
-    rhs = [(N([N(xs[:n])] + ts + [w]), 1)]
+    lhs = n_op(xs[: n - 1] + [n_op([z] + ts + [w])])
+    rhs = [(n_op([n_op(xs[:n])] + ts + [w]), 1)]
     for i in range(1, n - 1):
-        inner = N(xs[i:n])
-        rhs.append((N([xs[0]] + xs[1:i] + [inner] + ts + [w]), 1))
+        inner = n_op(xs[i:n])
+        rhs.append((n_op([xs[0]] + xs[1:i] + [inner] + ts + [w]), 1))
     for i in range(1, r - 1):
-        inner = N([z] + ts[:i])
-        rhs.append((N(xs[: n - 1] + [inner] + ts[i:] + [w]), -1))
+        inner = n_op([z] + ts[:i])
+        rhs.append((n_op(xs[: n - 1] + [inner] + ts[i:] + [w]), -1))
     return lhs - LinComb.sum(rhs)
 
 
-# lemma_i and lemma_ii are ind_i and ind_ii on three arguments
-_LEMMAS = {"lemma_i": "ind_i", "lemma_ii": "ind_ii"}
-
-
 def n_aux_residual(name, xs: Sequence[LinComb]) -> LinComb:
-    """Auxiliary identities relating N₂/N₃/Nₙ with dot products.
+    """Auxiliary identities relating N₂/Nₙ with dot products, on n >= 2 arguments.
 
-    lemma_i:  N₂(x·y, z) = N₃(x,y,z) + x·N₂(y,z)
-    lemma_ii: N₂(x, y·z) = N₃(x,y,z) + N₂(x,y)·z
     ind_i:    N₂(x₁·...·x_{n-1}, xₙ) = Σ_j x₁·...·x_j · N_{n-j}(x_{j+1},...,xₙ)
     ind_ii:   N₂(x₁, x₂·...·xₙ) = Σ_j N_{n-j}(x₁,...,x_{n-j}) · x_{n-j+1}·...·xₙ
+
+    On three arguments they are the paper's two lemmas:
+    N₂(x·y, z) = N₃(x,y,z) + x·N₂(y,z) and N₂(x, y·z) = N₃(x,y,z) + N₂(x,y)·z.
     """
     xs = list(xs)
     n = len(xs)
-    if name in _LEMMAS:
-        if n != 3:
-            raise ValueError(f"{name} takes 3 arguments, got {n}")
-        name = _LEMMAS[name]
     if n < 2:
         raise ValueError("ind_* need at least two arguments")
-    N = lambda args: n_op(len(args), args)
     if name == "ind_i":
-        lhs = N([reduce(dot, xs[: n - 1]), xs[n - 1]])
+        lhs = n_op([reduce(dot, xs[: n - 1]), xs[n - 1]])
         rhs = []
         for j in range(n - 1):
-            term = N(xs[j:])
+            term = n_op(xs[j:])
             if j:
                 term = dot(reduce(dot, xs[:j]), term)
             rhs.append((term, 1))
         return lhs - LinComb.sum(rhs)
     if name == "ind_ii":
-        lhs = N([xs[0], reduce(dot, xs[1:])])
+        lhs = n_op([xs[0], reduce(dot, xs[1:])])
         rhs = []
         for j in range(n - 1):
-            term = N(xs[: n - j])
+            term = n_op(xs[: n - j])
             if j:
                 term = dot(term, reduce(dot, xs[n - j :]))
             rhs.append((term, 1))

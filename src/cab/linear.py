@@ -12,7 +12,9 @@ compares, hashes and renders by its value (``2 == Fraction(2)``,
 
 Basis keys only need to be hashable and to render a canonical text via
 ``str``; the text is used for deterministic term ordering in output and for
-pivot selection during rank computation.  No dict lookup renders text.
+pivot selection during rank computation.  No dict lookup renders text.  A
+finite algebra's basis index i is an ``int`` key and prints as ``e{i}``, so
+e₀ does not print as the zero element ``0``.
 ``Tree`` and ``Tensor`` are interned, one object per nested tuple, so they
 keep ``object``'s identity equality and hash, computed in C.  The flat keys
 ``Word`` and ``Path`` are tuples of their items (``_TupleKey``), so their
@@ -75,6 +77,17 @@ def _merge(
     return data
 
 
+def _exact(c) -> Scalar:
+    """``c`` as a coefficient: an ``int`` or a ``Fraction`` as it is, any
+    other number (a float, a ``Decimal``) as the exact ``Fraction`` of its value."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
+def _key_text(key) -> str:
+    """A basis key's text; a basis index i of a finite algebra reads ``e{i}``."""
+    return f"e{key}" if isinstance(key, int) else str(key)
+
+
 def _wrap(data: dict) -> "LinComb":
     """A LinComb owning ``data``, whose values must be nonzero ints or Fractions."""
     out = LinComb.__new__(LinComb)
@@ -92,14 +105,18 @@ class LinComb:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable[tuple[Hashable, Scalar]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = list(terms.items() if isinstance(terms, Mapping) else terms)
+        for _, c in items:  # a scan is cheaper than coercing every item
+            if not isinstance(c, (int, Fraction)):
+                items = [(k, _exact(c)) for k, c in items]
+                break
         self._terms = _merge({}, items)
 
     @classmethod
     def term(cls, key, coeff: Scalar = 1) -> "LinComb":
         """One term; a scalar that is neither ``int`` nor ``Fraction`` (a
         float, a ``Decimal``) is stored as the exact ``Fraction`` of its value."""
-        c = coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
+        c = _exact(coeff)
         return _wrap({key: c} if c else {})
 
     @classmethod
@@ -110,7 +127,8 @@ class LinComb:
     def sum(pairs: Iterable[tuple["LinComb", Scalar]]) -> "LinComb":
         """Σ c·v over the ``(v, c)`` pairs, accumulated in one dict.
 
-        A scalar of ±1 merges v's coefficients without multiplying them.
+        A scalar of ±1 merges v's coefficients without multiplying them; any
+        other scalar is made exact as in ``term``.
         """
         data: dict = {}
         for v, c in pairs:
@@ -122,6 +140,7 @@ class LinComb:
             elif c == -1:
                 _merge(data, v._terms.items(), operator.sub)
             elif c:
+                c = _exact(c)
                 _merge(data, ((k, a * c) for k, a in v._terms.items()))
         return _wrap(data)
 
@@ -186,12 +205,13 @@ class LinComb:
             return "0"
         parts = []
         for key, c in self.sorted_items():
+            text = _key_text(key)
             if c == 1:
-                term = str(key)
+                term = text
             elif c == -1:
-                term = f"-{key}"
+                term = f"-{text}"
             else:
-                term = f"{c}*{key}"
+                term = f"{c}*{text}"
             if parts and not term.startswith("-"):
                 parts.append(f"+ {term}")
             elif parts:
@@ -231,7 +251,7 @@ class Tensor:
         return type(self), self.legs
 
     def __str__(self):
-        return " ⊗ ".join(str(leg) for leg in self.legs)
+        return " ⊗ ".join(_key_text(leg) for leg in self.legs)
 
     def __repr__(self):
         return f"Tensor{self.legs!r}"
@@ -429,4 +449,4 @@ def rank(vectors: Iterable[LinComb]) -> int:
 
 def to_records(x: LinComb) -> list[dict]:
     """Machine-readable form: ``{"coeff": "p/q", "key": text}`` sorted by key."""
-    return [{"coeff": str(c), "key": str(k)} for k, c in x.sorted_items()]
+    return [{"coeff": str(c), "key": _key_text(k)} for k, c in x.sorted_items()]

@@ -258,10 +258,10 @@ def suite_coalgebra(max_degree: int = 7, seed: int = DEFAULT_SEED):
                         lambda x: inf.primitive_projector_series(x) != inf.primitive_projector(x)))
 
     prims = {n: inf.primitive_basis(n, ["a", "b"]) for n in (1, 2)}
-    inputs = lambda rng: ((arity, _random_primitive_tuple(rng, prims, arity)) for arity in range(2, 6) for _ in range(10))
+    inputs = lambda rng: ((_random_primitive_tuple(rng, prims, arity),) for arity in range(2, 6) for _ in range(10))
     checks.append(check("primitives-closed-under-nops",
                         "Δ(N_n(p₁..pₙ)) = 0 for primitive arguments, n <= 5",
-                        inputs, lambda arity, ps: inf.coproduct(inf.n_op(arity, ps))))
+                        inputs, lambda ps: inf.coproduct(inf.n_op(ps))))
     return checks
 
 
@@ -282,13 +282,13 @@ def _random_primitive_tuple(rng, prims, arity):
 
 
 def _relation_inputs(prims, specs, gens, n_random, rng):
-    """(name, arguments) for each ``(name, arity)`` spec: every tuple of
+    """(*key, arguments) for each ``(key, arity)`` spec: every tuple of
     ``gens``, then ``n_random`` random tuples of primitives from ``rng``."""
-    for name, arity in specs:
+    for key, arity in specs:
         for xs in itertools.product(gens, repeat=arity):
-            yield name, list(xs)
+            yield *key, list(xs)
         for _ in range(n_random):
-            yield name, _random_primitive_tuple(rng, prims, arity)
+            yield *key, _random_primitive_tuple(rng, prims, arity)
 
 
 def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED):
@@ -298,22 +298,23 @@ def suite_nalgebra(max_degree: int = 6, seed: int = DEFAULT_SEED):
     gens = [LinComb.term(t) for t in enumerate_trees(1, ["a", "b"])]
     prims = {n: inf.primitive_basis(n, ["a", "b"]) for n in (1, 2)}
 
-    relations = [("R1", n) for n in range(2, max_n + 1)] + ["low2", "low3", "low4"]
-    specs = [(rel, inf.n_relation_arity(rel)) for rel in relations]
+    shapes = [(n, 2) for n in range(2, max_n + 1)] + [(3, 2), (2, 3), (3, 3)]  # R1(n), low2..low4
+    specs = [((n, r), n + r - 1) for n, r in shapes]
     inputs = partial(_relation_inputs, prims, specs, gens, 100)
     checks.append(check("relations-R1-and-low-degree",
                         lambda n, bad: f"R1(2..{max_n}) + low2..low4; {n} evaluations",
                         inputs, inf.n_relation_residual))
 
-    relations = [("R2", 3), ("R2", 4), ("R2", 5), ("R3", 3, 3), ("R3", 3, 4), ("R3", 4, 3), ("R3", 4, 4)]
-    specs = [(rel, inf.n_relation_arity(rel)) for rel in relations]
+    shapes = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3), (4, 4)]  # R2(3..5), then R3
+    specs = [((n, r), n + r - 1) for n, r in shapes]
     inputs = partial(_relation_inputs, prims, specs, gens[:1], 25)
     checks.append(check("relations-R2-R3-reconstructed",
                         lambda n, bad: f"index-repaired general forms; {n} evaluations",
                         inputs, inf.n_relation_residual))
 
-    lemmas = [(name, 3) for name in ("lemma_i", "lemma_ii")]
-    inductions = [(name, arity) for name in ("ind_i", "ind_ii") for arity in range(2, 6)]
+    # ind_i and ind_ii on three arguments are the paper's lemmas
+    lemmas = [((name,), 3) for name in ("ind_i", "ind_ii")]
+    inductions = [((name,), arity) for name in ("ind_i", "ind_ii") for arity in range(2, 6)]
     inputs = lambda rng: itertools.chain(
         _relation_inputs(prims, lemmas, gens, 100, rng),
         _relation_inputs(prims, inductions, gens, 50, rng),

@@ -29,7 +29,6 @@ from cab.infinitesimal import (
     coproduct,
     coproduct_closed,
     n_aux_residual,
-    n_relation_arity,
     n_relation_residual,
     primitive_basis,
     tree_model,
@@ -122,16 +121,17 @@ def test_criterion_5_n_algebra_relations():
     gens = [LinComb.term(t) for t in enumerate_trees(1, ["a", "b"])]
     prims = {1: primitive_basis(1, ["a", "b"]), 2: primitive_basis(2, ["a", "b"])}
 
-    relations = [("R1", n) for n in range(2, 7)] + ["low2", "low3", "low4"]
-    for rel in relations:
-        arity = n_relation_arity(rel)
+    # R1(2..6), then low2, low3, low4: each is R3(n, r) on n + r − 1 arguments
+    for n, r in [(n, 2) for n in range(2, 7)] + [(3, 2), (2, 3), (3, 3)]:
+        arity = n + r - 1
         for xs in itertools.product(gens, repeat=arity):
-            assert n_relation_residual(rel, list(xs)).is_zero
+            assert n_relation_residual(n, r, list(xs)).is_zero
         for _ in range(100):
             xs = _random_primitive_tuple(rng, prims, arity)
-            assert n_relation_residual(rel, xs).is_zero
+            assert n_relation_residual(n, r, xs).is_zero
 
-    for name, arities in (("lemma_i", [3]), ("lemma_ii", [3]),
+    # the paper's two lemmas are the induction identities on three arguments
+    for name, arities in (("ind_i", [3]), ("ind_ii", [3]),
                           ("ind_i", [2, 3, 4, 5]), ("ind_ii", [2, 3, 4, 5])):
         for arity in arities:
             for xs in itertools.product(gens, repeat=arity):

@@ -23,7 +23,6 @@ from cab.infinitesimal import (
     dimension_report,
     n_aux_residual,
     n_op,
-    n_relation_arity,
     n_relation_residual,
     primitive_basis,
     primitive_projector,
@@ -123,7 +122,7 @@ def test_projector_values():
 
 def test_projector_is_n2_on_degree_two():
     a, b = basis("(a)"), basis("(b)")
-    assert primitive_projector(circle(a, b)) == n_op(2, [a, b])
+    assert primitive_projector(circle(a, b)) == n_op([a, b])
 
 
 def test_projector_properties():
@@ -150,63 +149,60 @@ def test_projector_kills_decomposables():
 
 def test_n_op_values():
     a, b, c, d = (basis(f"({x})") for x in "abcd")
-    assert n_op(2, [a, b]) == basis("(b(a))") - basis("(a,b)")
-    assert n_op(3, [a, b, c]) == basis("(c(a,b))") - basis("(a,c(b))")
-    assert n_op(4, [a, b, c, d]) == n_op(3, [a, dot(b, c), d])
+    assert n_op([a, b]) == basis("(b(a))") - basis("(a,b)")
+    assert n_op([a, b, c]) == basis("(c(a,b))") - basis("(a,c(b))")
+    assert n_op([a, b, c, d]) == n_op([a, dot(b, c), d])
 
 
 def test_n_op_arity_check():
     with pytest.raises(ValueError):
-        n_op(3, [basis("(a)")])
+        n_op([basis("(a)")])
     with pytest.raises(ValueError):
-        n_op(1, [basis("(a)")])
+        n_op([])
 
 
 GENS = [LinComb.term(t) for t in enumerate_trees(1, ["a", "b"])]
 
 
+# each rel is (n, r), the relation R3(n, r)
 @pytest.mark.parametrize(
     "rel",
-    ["low2", "low3", "low4", ("R1", 2), ("R1", 3), ("R1", 4), ("R1", 5),
-     ("R2", 3), ("R2", 4), ("R3", 3, 3), ("R3", 3, 4), ("R3", 4, 3)],
+    [(4, 4), (5, 3), (3, 5), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 3)],
 )
 def test_relations_on_generators(rel):
-    arity = n_relation_arity(rel)
-    for xs in itertools.product(GENS, repeat=min(arity, 2)):
+    n, r = rel
+    arity = n + r - 1
+    for xs in itertools.product(GENS, repeat=2):
         args = list(xs) + [GENS[0]] * (arity - len(xs))
-        assert n_relation_residual(rel, args).is_zero
+        assert n_relation_residual(n, r, args).is_zero
     # one all-distinct-ish tuple
     args = [GENS[i % 2] for i in range(arity)]
-    assert n_relation_residual(rel, args).is_zero
+    assert n_relation_residual(n, r, args).is_zero
 
 
 def test_relations_on_primitive_arguments():
     rng = random.Random(13)
     prims = {1: primitive_basis(1, ["a", "b"]), 2: primitive_basis(2, ["a", "b"])}
-    for rel in ["low2", "low4", ("R1", 3), ("R2", 3), ("R3", 3, 3)]:
-        arity = n_relation_arity(rel)
+    for n, r in [(3, 2), (3, 3), (3, 2), (2, 3), (3, 3)]:  # low2, low4, R1(3), R2(3), R3(3, 3)
         for _ in range(10):
-            args = [rng.choice(prims[2 if rng.random() < 0.4 else 1]) for _ in range(arity)]
-            assert n_relation_residual(rel, args).is_zero
+            args = [rng.choice(prims[2 if rng.random() < 0.4 else 1]) for _ in range(n + r - 1)]
+            assert n_relation_residual(n, r, args).is_zero
 
 
 def test_relation_arity_mismatch():
     with pytest.raises(ValueError):
-        n_relation_residual("low2", GENS[:3])
+        n_relation_residual(3, 2, GENS[:3])
     with pytest.raises(ValueError):
-        n_aux_residual("lemma_i", GENS[:2] * 2)
-    malformed = [("R3", 3), ("R1",), ("R2", 3, 3), ("R4", 3), "low5", ("R1", 1), ("R2", 0),
-                 ("R3", 1, 3), ("R3", 3, 1)]
-    for rel in malformed:
+        n_aux_residual("ind_i", GENS[:1])
+    with pytest.raises(ValueError):
+        n_aux_residual("ind_iii", GENS[:3])
+    for n, r in [(1, 3), (3, 1), (2, 0), (2.0, 2), (True, 3)]:
         with pytest.raises(ValueError):
-            n_relation_arity(rel)
-        with pytest.raises(ValueError):
-            n_relation_residual(rel, GENS[:3])
+            n_relation_residual(n, r, GENS[:3])
 
 
-def _free_n_op(n, xs):
+def _free_n_op(xs):
     """N_n as a free symbol: basis keys k₁..kₙ go to the key ("N", k₁, ..., kₙ)."""
-    assert len(xs) == n
     return LinComb(
         (("N", *(k for k, _ in terms)), math.prod(c for _, c in terms))
         for terms in itertools.product(*(x.items() for x in xs))
@@ -230,19 +226,18 @@ LOW2 = [(_N(X, Y, _N(Z, T)), 1), (_N(_N(X, Y, Z), T), -1), (_N(X, _N(Y, Z), T), 
 LOW3 = [(_N(X, _N(Y, Z, T)), 1), (_N(_N(X, Y), Z, T), -1), (_N(X, _N(Y, Z), T), 1)]
 # the relations as the paper writes them, each residual LHS − RHS
 FORMAL_RELATIONS = [
-    ("low2", LOW2),
-    ("low3", LOW3),
-    ("low4", [(_N(X, Y, _N(Z, T, W)), 1), (_N(_N(X, Y, Z), T, W), -1),
+    ((3, 2), LOW2),
+    ((2, 3), LOW3),
+    ((3, 3), [(_N(X, Y, _N(Z, T, W)), 1), (_N(_N(X, Y, Z), T, W), -1),
               (_N(X, _N(Y, Z), T, W), -1), (_N(X, Y, _N(Z, T), W), 1)]),
-    (("R1", 2), [(_N(X, _N(Y, Z)), 1), (_N(_N(X, Y), Z), -1)]),
-    (("R1", 3), LOW2),
-    (("R2", 3), LOW3),
-    (("R2", 4), [(_N(X, _N(Y, Z, T, W)), 1), (_N(_N(X, Y), Z, T, W), -1),
-                 (_N(X, _N(Y, Z, T), W), 1), (_N(X, _N(Y, Z), T, W), 1)]),
+    ((2, 2), [(_N(X, _N(Y, Z)), 1), (_N(_N(X, Y), Z), -1)]),
+    ((2, 4), [(_N(X, _N(Y, Z, T, W)), 1), (_N(_N(X, Y), Z, T, W), -1),
+              (_N(X, _N(Y, Z, T), W), 1), (_N(X, _N(Y, Z), T, W), 1)]),
 ]
+# on three arguments the induction identities are the paper's two lemmas
 FORMAL_LEMMAS = [
-    ("lemma_i", [(_N(_D(X, Y), Z), 1), (_N(X, Y, Z), -1), (_D(X, _N(Y, Z)), -1)]),
-    ("lemma_ii", [(_N(X, _D(Y, Z)), 1), (_N(X, Y, Z), -1), (_D(_N(X, Y), Z), -1)]),
+    ("ind_i", [(_N(_D(X, Y), Z), 1), (_N(X, Y, Z), -1), (_D(X, _N(Y, Z)), -1)]),
+    ("ind_ii", [(_N(X, _D(Y, Z)), 1), (_N(X, Y, Z), -1), (_D(_N(X, Y), Z), -1)]),
 ]
 
 
@@ -252,17 +247,17 @@ def test_relations_are_the_stated_expressions(monkeypatch):
     monkeypatch.setattr(infinitesimal, "n_op", _free_n_op)
     monkeypatch.setattr(infinitesimal, "dot", _free_dot)
     symbols = [LinComb.term(s) for s in (X, Y, Z, T, W)]
-    for rel, expected in FORMAL_RELATIONS:
-        got = n_relation_residual(rel, symbols[: n_relation_arity(rel)])
-        assert not got.is_zero, rel
-        assert got == LinComb(expected), rel
+    for (n, r), expected in FORMAL_RELATIONS:
+        got = n_relation_residual(n, r, symbols[: n + r - 1])
+        assert not got.is_zero, (n, r)
+        assert got == LinComb(expected), (n, r)
     for name, expected in FORMAL_LEMMAS:
         got = n_aux_residual(name, symbols[:3])
         assert not got.is_zero, name
         assert got == LinComb(expected), name
 
 
-@pytest.mark.parametrize("name,arity", [("lemma_i", 3), ("lemma_ii", 3)])
+@pytest.mark.parametrize("name,arity", [("ind_i", 3), ("ind_ii", 3)])
 def test_lemma_identities(name, arity):
     for xs in itertools.product(GENS, repeat=arity):
         assert n_aux_residual(name, list(xs)).is_zero
@@ -283,7 +278,7 @@ def test_primitives_closed_under_n_ops():
     for arity in range(2, 6):
         for _ in range(8):
             ps = [rng.choice(prims[2 if rng.random() < 0.3 else 1]) for _ in range(arity)]
-            assert coproduct(n_op(arity, ps)).is_zero
+            assert coproduct(n_op(ps)).is_zero
 
 
 # --- primitive basis and dimensions ----------------------------------------------

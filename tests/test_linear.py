@@ -1,6 +1,7 @@
 """Vector-space behavior of sparse rational linear combinations."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from cab.linear import (
     tensor,
     to_records,
 )
+from cab.matching import truncated_polynomial_algebra
 
 KEYS = ["s", "t", "u", "v", "w"]
 
@@ -143,6 +145,13 @@ def test_non_integer_scalars_are_made_exact_or_refused():
     assert type(t.coeff("t")) is Fraction
     with pytest.raises(TypeError):
         LinComb.term("t") * 0.5
+    # the constructor and ``sum`` make a scalar exact as ``term`` does
+    assert type(LinComb([("t", 0.5)]).coeff("t")) is Fraction
+    assert (LinComb({"t": 0.1}) + LinComb({"t": 0.2})).coeff("t") == Fraction(0.1) + Fraction(0.2)
+    x = LinComb.term("t", 3)
+    assert LinComb.sum([(x, 0.1), (x, 0.2)]).coeff("t") == 3 * (Fraction(0.1) + Fraction(0.2))
+    c = LinComb([("t", Decimal("0.1"))]).coeff("t")
+    assert type(c) is Fraction and c == Fraction(1, 10)
 
 
 def test_construction_merges_and_drops_zeros():
@@ -272,3 +281,10 @@ def test_records_sorted_by_key():
         {"coeff": "-1/3", "key": "u"},
     ]
     assert str(LinComb.zero()) == "0"
+
+
+def test_index_keys_render_apart_from_zero():
+    A = truncated_polynomial_algebra(3)
+    assert str(A.vector([1, 0, 0])) == "e0" != str(A.vector([0, 0, 0]))
+    assert str(A.vector([-1, 2, 0])) == "-e0 + 2*e1"
+    assert str(A.delta(A.basis(1))) == "e0 ⊗ e1 + e1 ⊗ e0"
