@@ -7,7 +7,8 @@ identity
     x∘(y·z) + x·(y∘z) = (x∘y)·z + (x·y)∘z,
 
 which says exactly that every linear combination of the two products is again
-associative.  Elements are ``LinComb`` values keyed by ``Tree``.
+associative.  Elements are ``LinComb`` values keyed by ``Tree``, and
+``circle_trees`` is memoised with ``linear.memo``.
 
 ``FinAlgebra`` models a finite-dimensional algebra carrying two such products
 via structure tables (verified at construction), and ``evaluate`` implements
@@ -17,19 +18,20 @@ the universal map from the tree algebra determined by a generator assignment.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import partial, reduce
 from typing import Callable, Mapping, Sequence
 
 from .linear import (
     LinComb,
     Scalar,
+    _exact,
     _wrap,
     associativity_fails,
     bilinear,
     bilinear_keys,
     compatibility_law,
     linear_map,
+    memo,
 )
 from .trees import (
     Tree,
@@ -55,15 +57,12 @@ def dot(x: LinComb, y: LinComb) -> LinComb:
     return bilinear_keys(root_concat, x, y)
 
 
-# write-once per key; a concurrent duplicate computation stores the same value
-_CIRCLE_CACHE: dict = {}
-
-
 def circle(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear extension of the circle product on basis trees."""
     return bilinear(circle_trees, x, y)
 
 
+@memo
 def circle_trees(t: Tree, w: Tree) -> LinComb:
     """Circle product of basis trees, by recursion on the right factor.
 
@@ -71,30 +70,21 @@ def circle_trees(t: Tree, w: Tree) -> LinComb:
     w = u∘a: t∘w = (t∘u)∘a.  Reducible w = w'·w'', w' its first factor: the
     compatibility identity solved for t∘w.
     """
-    key = (t, w)
-    cached = _CIRCLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     if len(w.children) == 1 and not w.children[0][1]:  # a generator
-        result = LinComb.term(wrap_root(t, w.children[0][0]))
-    elif is_irreducible(w):
+        return LinComb.term(wrap_root(t, w.children[0][0]))
+    if is_irreducible(w):
         # (t∘u)∘a hangs each term of t∘u below a; every relabel below is
         # injective, so no two terms merge
         u, a = unwrap_root(w)
-        result = _wrap({wrap_root(k, a): c for k, c in circle_trees(t, u).items()})
-    else:
-        # w = w'·w'' (first factor against the rest), by the compatibility
-        # identity: t∘w = (t∘w')·w'' + (t·w')∘w'' − t·(w'∘w'')
-        w1, w2 = Tree(w.children[:1]), Tree(w.children[1:])
-        result = LinComb.sum([
-            (_wrap({root_concat(k, w2): c for k, c in circle_trees(t, w1).items()}), 1),
-            (circle_trees(root_concat(t, w1), w2), 1),
-            (_wrap({root_concat(t, k): c for k, c in circle_trees(w1, w2).items()}), -1),
-        ])
-
-    _CIRCLE_CACHE[key] = result
-    return result
+        return _wrap({wrap_root(k, a): c for k, c in circle_trees(t, u).items()})
+    # w = w'·w'' (first factor against the rest), by the compatibility
+    # identity: t∘w = (t∘w')·w'' + (t·w')∘w'' − t·(w'∘w'')
+    w1, w2 = Tree(w.children[:1]), Tree(w.children[1:])
+    return LinComb.sum([
+        (_wrap({root_concat(k, w2): c for k, c in circle_trees(t, w1).items()}), 1),
+        (circle_trees(root_concat(t, w1), w2), 1),
+        (_wrap({root_concat(t, k): c for k, c in circle_trees(w1, w2).items()}), -1),
+    ])
 
 
 def star(x: LinComb, y: LinComb, alpha: Scalar = 1, beta: Scalar = 1) -> LinComb:
@@ -108,13 +98,13 @@ def lie_bracket(mul: Callable, x: LinComb, y: LinComb) -> LinComb:
 
 
 def _vector(coords: Sequence[Scalar] | LinComb, dim: int) -> LinComb:
-    """``dim`` exact coordinates (other numbers become their ``Fraction``), or
-    a LinComb over the basis indices, as a validated LinComb over them."""
+    """``dim`` coordinates, each made exact by ``linear._exact``, or a LinComb
+    over the basis indices, as a validated LinComb over them."""
     if isinstance(coords, LinComb):
         if not all(isinstance(k, int) and 0 <= k < dim for k, _ in coords.items()):
             raise ValueError(f"expected a LinComb over the basis indices 0..{dim - 1}")
         return coords
-    v = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
+    v = [_exact(c) for c in coords]
     if len(v) != dim:
         raise ValueError(f"expected a vector of dimension {dim}, got {len(v)}")
     return LinComb(enumerate(v))

@@ -10,7 +10,8 @@ in closed form as a sum of complementary vertex-subset contractions along the
 canonical vertex order.  The projector ``e`` kills dot-decomposables and
 retracts onto primitives; applied to irreducible trees it produces the graded
 primitive basis, whose dimension in degree n is d^n times the Catalan number
-c_{n-1}.
+c_{n-1}.  The coproduct and the projector on basis trees are memoised with
+``linear.memo``.
 
 The n-ary operations
 
@@ -35,6 +36,7 @@ from .linear import (
     Tensor,
     apply_on_leg,
     linear_map,
+    memo,
 )
 from .trees import (
     Tree,
@@ -49,18 +51,12 @@ from .trees import (
 )
 from .algebra import circle, circle_trees, dot
 
-_COPRODUCT_CACHE: dict = {}
-
-
+@memo
 def coproduct_tree(t: Tree) -> LinComb:
     """Coproduct of a basis tree (rank-2 tensor combination, possibly zero)."""
-    cached = _COPRODUCT_CACHE.get(t)
-    if cached is not None:
-        return cached
-
     if len(t.children) == 1 and not t.children[0][1]:  # a generator
-        result = LinComb.zero()
-    elif is_irreducible(t):
+        return LinComb.zero()
+    if is_irreducible(t):
         # t = u∘a:  Δ(t) = u₁ ⊗ (u₂∘a) + u ⊗ a
         u, a = unwrap_root(t)
         a_tree = leaf(a)
@@ -69,22 +65,18 @@ def coproduct_tree(t: Tree) -> LinComb:
             u1, u2 = key.legs
             for w, c2 in circle_trees(u2, a_tree).items():
                 out.append((Tensor(u1, w), c * c2))
-        result = LinComb(out)
-    else:
-        # t = t'·t'' (first factor against the rest):
-        # Δ(t) = t'₁ ⊗ (t'₂·t'') + (t'·t''₁) ⊗ t''₂ + t' ⊗ t''
-        t1, t2 = Tree(t.children[:1]), Tree(t.children[1:])
-        out = [(Tensor(t1, t2), 1)]
-        for key, c in coproduct_tree(t1).items():
-            a, b = key.legs
-            out.append((Tensor(a, root_concat(b, t2)), c))
-        for key, c in coproduct_tree(t2).items():
-            a, b = key.legs
-            out.append((Tensor(root_concat(t1, a), b), c))
-        result = LinComb(out)
-
-    _COPRODUCT_CACHE[t] = result
-    return result
+        return LinComb(out)
+    # t = t'·t'' (first factor against the rest):
+    # Δ(t) = t'₁ ⊗ (t'₂·t'') + (t'·t''₁) ⊗ t''₂ + t' ⊗ t''
+    t1, t2 = Tree(t.children[:1]), Tree(t.children[1:])
+    out = [(Tensor(t1, t2), 1)]
+    for key, c in coproduct_tree(t1).items():
+        a, b = key.legs
+        out.append((Tensor(a, root_concat(b, t2)), c))
+    for key, c in coproduct_tree(t2).items():
+        a, b = key.legs
+        out.append((Tensor(root_concat(t1, a), b), c))
+    return LinComb(out)
 
 
 def coproduct(x: LinComb) -> LinComb:
@@ -113,9 +105,6 @@ def tree_model() -> Model:
     return Model(dot, circle, coproduct_tree)
 
 
-_PROJECTOR_CACHE: dict = {}
-
-
 def primitive_projector(x: LinComb) -> LinComb:
     """Idempotent projector onto primitives: e(t) = t − t₁·e(t₂).
 
@@ -125,15 +114,11 @@ def primitive_projector(x: LinComb) -> LinComb:
     return linear_map(_projector_tree, x)
 
 
+@memo
 def _projector_tree(t: Tree) -> LinComb:
-    cached = _PROJECTOR_CACHE.get(t)
-    if cached is not None:
-        return cached
-    result = LinComb.term(t) - linear_map(
+    return LinComb.term(t) - linear_map(
         lambda k: dot(LinComb.term(k.legs[0]), _projector_tree(k.legs[1])), coproduct_tree(t)
     )
-    _PROJECTOR_CACHE[t] = result
-    return result
 
 
 def _fold_dot(key: Tensor) -> Tree:

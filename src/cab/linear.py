@@ -32,7 +32,8 @@ basis keys to one key or to zero (the tree dot, both word products, the path
 products and their tensor squares) is a key map returning a key or ``None``,
 extended with ``bilinear_keys``; no one-term LinComb is built per pair.  The
 path products index the right factor's terms by first point and call their
-key map only on the pairs that glue.
+key map only on the pairs that glue.  A recursive basis map is memoised
+with ``memo``, and ``clear_memos`` empties every memo.
 
 The laws section writes each law of the paper once.  The coalgebra laws
 read one ``Model`` record per algebra, and a variant, such as ∘ in place of
@@ -44,6 +45,8 @@ them on bare keys.
 
 from __future__ import annotations
 
+import functools
+import numbers
 import operator
 from collections.abc import Callable, Hashable, Iterable, Mapping
 from fractions import Fraction
@@ -79,8 +82,50 @@ def _merge(
 
 def _exact(c) -> Scalar:
     """``c`` as a coefficient: an ``int`` or a ``Fraction`` as it is, any
-    other number (a float, a ``Decimal``) as the exact ``Fraction`` of its value."""
-    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+    other number (a float, a ``Decimal``) as the exact ``Fraction`` of its
+    value.  Anything else, a string included, is refused with ``TypeError``,
+    as ``*`` refuses it."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    if not isinstance(c, numbers.Number):
+        raise TypeError(f"a coefficient must be a number, not {type(c).__name__} {c!r}")
+    return Fraction(c)
+
+
+_MEMOS: list = []  # every ``memo``, in the order the modules define them
+
+
+def memo(f: Callable) -> Callable:
+    """The basis map ``f``, which never returns ``None``, memoised in the dict
+    ``table`` and registered for ``clear_memos``.  One argument is its own
+    key; ``functools.cache`` would key it by a 1-tuple, one more object per
+    entry for the garbage collector, and that moved a full collection (about
+    40 ms) into a timed pass over the degree-7 primitive basis."""
+    table: dict = {}
+    get = table.get
+    if f.__code__.co_argcount == 1:
+        def cached(key):
+            value = get(key)
+            if value is None:
+                value = table[key] = f(key)
+            return value
+    else:
+        def cached(*key):
+            value = get(key)
+            if value is None:
+                value = table[key] = f(*key)
+            return value
+    cached.table = table
+    _MEMOS.append(cached)
+    return functools.update_wrapper(cached, f)
+
+
+def clear_memos() -> None:
+    """Empty every memo.  The intern tables of ``Tree`` and ``Tensor`` stay:
+    equality of those keys is identity, so a key built after a clear must be
+    the object that a caller may still hold."""
+    for cached in _MEMOS:
+        cached.table.clear()
 
 
 def _key_text(key) -> str:

@@ -16,7 +16,8 @@ R is a coderivation for the coproduct.  On the tensor square the coproduct
 is multiplicative for the dot product, and the bi-matching law
 Δ(x∘y) = Δ(x)∗Δ(y) holds; the path suite asserts all three with the laws of
 ``linear`` on ``path_model()``.  Componentwise ∘-multiplicativity fails, and
-stays a diagnostic pinned to its derived nonzero residual.
+stays a diagnostic pinned to its derived nonzero residual.  The coproduct
+of a basis path is memoised with ``linear.memo``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .linear import (
     coassociativity_law,
     coderivation_law,
     linear_map,
+    memo,
 )
 from .matching import tensor_square_dot, tensor_square_star
 from .trees import COLOR_RE
@@ -133,13 +135,8 @@ def path_R(x: LinComb) -> LinComb:
     return linear_map(_r_path, x)
 
 
-_COPRODUCT_PATH_CACHE: dict = {}
-
-
+@memo
 def _coproduct_path(p: Path) -> LinComb:
-    cached = _COPRODUCT_PATH_CACHE.get(p)
-    if cached is not None:
-        return cached
     a, b = p[0], p[-1]
     interior = p[1:-1]
     n = len(interior)
@@ -150,9 +147,7 @@ def _coproduct_path(p: Path) -> LinComb:
             left = (a,) + tuple(interior[i] for i in chosen) + (b,)
             right = (a,) + tuple(interior[i] for i in range(n) if i not in chosen_set) + (b,)
             out.append((Tensor(tuple.__new__(Path, left), tuple.__new__(Path, right)), 1))
-    result = LinComb(out)
-    _COPRODUCT_PATH_CACHE[p] = result
-    return result
+    return LinComb(out)
 
 
 def path_coproduct(x: LinComb) -> LinComb:

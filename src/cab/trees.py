@@ -18,15 +18,17 @@ Canonical rendering uses no whitespace and omits '()' after leaves, e.g.
 Internally a non-root vertex is a pair ``(color, children)`` with children a
 tuple of vertices; a ``Tree`` wraps the tuple of root children, and there is
 one ``Tree`` object per such tuple.  Vertices are addressed by their path of
-0-based child indices from the root.
+0-based child indices from the root.  The two enumerators of shapes and
+colorings are memoised with ``linear.memo``.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
+
+from .linear import memo
 
 # the one pattern for colors, word letters and path points; use it with
 # ``fullmatch`` on a whole name, or ``match`` at an offset when tokenizing
@@ -286,7 +288,7 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _forest_shapes(n: int) -> tuple:
     """All uncolored forests with n vertices, ordered by first-subtree size."""
     if n == 0:
@@ -299,7 +301,7 @@ def _forest_shapes(n: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _colored_forests(shape: tuple, palette: tuple) -> tuple:
     """Every coloring of a forest shape, palette-lexicographic in preorder.
 

@@ -558,6 +558,10 @@ SUITES = {
 
 # the suites whose exhaustive bounds ``max_degree`` rescales
 _DEGREE_SUITES = {"axioms", "coalgebra", "matching", "nalgebra"}
+# the largest ``max_degree``: each degree costs about five times the one
+# before (matching, 2-vCPU VM: 1.9 s at 8, 9.9 s at 9, 41.6 s at 10), and
+# degree 12 runs past gigabytes
+MAX_DEGREE = 9
 
 
 def run_suites(names, max_degree: int | None = None, seed: int = DEFAULT_SEED) -> list[Check]:
@@ -565,10 +569,12 @@ def run_suites(names, max_degree: int | None = None, seed: int = DEFAULT_SEED) -
 
     Below 3 some exhaustive checks would run on no input at all, and fail
     for it, so a smaller ``max_degree`` is refused before any suite runs; so
-    is a ``max_degree`` that none of the named suites takes.
+    is one above ``MAX_DEGREE``, and one that none of the named suites takes.
     """
     if max_degree is not None and max_degree < 3:
         raise ValueError(f"max degree must be at least 3, got {max_degree}")
+    if max_degree is not None and max_degree > MAX_DEGREE:
+        raise ValueError(f"max degree must be at most {MAX_DEGREE}, got {max_degree}")
     if max_degree is not None and _DEGREE_SUITES.isdisjoint(names):
         raise ValueError(f"max degree does not apply to suite {', '.join(names)}")
     checks = []

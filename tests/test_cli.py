@@ -2,7 +2,9 @@
 
 import json
 
-from cab import cli
+import pytest
+
+from cab import cli, verify
 from cab.cli import main
 
 
@@ -129,6 +131,26 @@ def test_verify_refuses_max_degree_below_three(capsys):
             code, out, err = run(capsys, "verify", "--suite", suite, "--max-degree", degree)
             assert (code, out) == (1, "")
             assert f"max degree must be at least 3, got {degree}" in err
+
+
+class SuiteStarted(Exception):
+    pass
+
+
+def test_verify_refuses_max_degree_above_nine_before_any_suite_runs(capsys, monkeypatch):
+    # each degree above 9 costs about five times the one before; never start one
+    def started(**kwargs):
+        raise SuiteStarted
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, started)
+    for degree in ("10", "12", "100"):
+        for suite in ("matching", "all"):
+            code, out, err = run(capsys, "verify", "--suite", suite, "--max-degree", degree)
+            assert (code, out) == (1, "")
+            assert f"max degree must be at most 9, got {degree}" in err
+    with pytest.raises(SuiteStarted):
+        main(["verify", "--suite", "matching", "--max-degree", "9"])
 
 
 def test_usage_errors_exit_one(capsys):

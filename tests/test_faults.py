@@ -4,17 +4,21 @@ Each case replaces one basis map, operation, enumerator or count with
 ``monkeypatch`` and runs one suite.  The suites reach the maps through the model records, which
 are built from the modules' current bindings, so a record built once and
 kept would let a fault pass unseen.  ``verify`` binds ``enumerate_trees`` by
-``from … import``, so that fault patches ``verify``'s binding.  The four
-memo caches are fresh for each run, so no faulty entry leaks into a later
-run or test.
+``from … import``, so that fault patches ``verify``'s binding.  Every memo
+is emptied before each run and after the test, so no faulty entry leaks
+into a later run or test.  Every check of ``cab verify --suite all`` is in
+some row's set.
 """
+
+import json
+from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
-from fractions import Fraction
-
 from cab import algebra, infinitesimal, matching, paths, verify
-from cab.linear import LinComb, Tensor, bilinear_keys
+from cab.linear import LinComb, Tensor, bilinear_keys, clear_memos, linear_map
 from cab.trees import is_irreducible, parse_tree
 
 
@@ -45,6 +49,30 @@ def keep_glued_point(orig):
 def halve_from_degree_5(orig):
     """The circle product halved where the degrees sum to 5 or more."""
     return lambda t, w: orig(t, w) * Fraction(1, 2) if t.degree + w.degree >= 5 else orig(t, w)
+
+
+def r_plus_r_squared(orig):
+    """R(eᵢ) + R(R(eᵢ)): multiplication by X + X² on the polynomials, still a
+    right semi-homomorphism, so the algebra builds."""
+
+    def faulty(self, i):
+        r = orig(self, i)
+        return r + linear_map(partial(orig, self), r)
+
+    return faulty
+
+
+def drop_last_left_term(orig):
+    """``bilinear`` without the last term, in text order, of a left factor
+    with 3 or more terms; the basis sweeps use one-term factors only."""
+
+    def faulty(f, x, y):
+        if len(x) >= 3:
+            key, c = x.sorted_items()[-1]
+            x = x - LinComb.term(key, c)
+        return orig(f, x, y)
+
+    return faulty
 
 
 FAULTS = {
@@ -145,13 +173,33 @@ FAULTS = {
         lambda: verify.suite_matching(max_degree=4),
         ["polynomial-bimatching", "tensor-square-negative-control"],
     ),
+    "semihom-r": (
+        matching.SemiHomAlgebra, "_r_key", r_plus_r_squared,
+        lambda: verify.suite_matching(max_degree=4),
+        ["polynomial-bimatching", "polynomial-coderivation"],
+    ),
+    "finite-circ": (
+        algebra.FinAlgebra, "circ",
+        lambda orig: lambda self, x, y: -orig(self, x, y),
+        lambda: verify.suite_matching(max_degree=4),
+        ["left-multiplication-semihom", "polynomial-bimatching"],
+    ),
+    "finite-bilinear": (
+        algebra, "bilinear", drop_last_left_term,
+        lambda: verify.suite_matching(max_degree=4),
+        ["polynomial-matching-laws"],
+    ),
 }
 
 
-def fresh_caches(monkeypatch):
-    for module, name in ((algebra, "_CIRCLE_CACHE"), (infinitesimal, "_COPRODUCT_CACHE"),
-                         (infinitesimal, "_PROJECTOR_CACHE"), (paths, "_COPRODUCT_PATH_CACHE")):
-        monkeypatch.setattr(module, name, {})
+@pytest.fixture
+def fresh_caches():
+    """Empty every memo now, when called, and at teardown.  A faulted run
+    fills the original memos too, because their recursion calls the patched
+    global."""
+    clear_memos()
+    yield clear_memos
+    clear_memos()
 
 
 def failing(checks):
@@ -159,10 +207,15 @@ def failing(checks):
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_planted_fault_fails_exactly_the_checks_that_read_the_map(monkeypatch, fault):
+def test_planted_fault_fails_exactly_the_checks_that_read_the_map(monkeypatch, fresh_caches, fault):
     module, name, plant, run, expected = FAULTS[fault]
-    fresh_caches(monkeypatch)
     assert failing(run()) == []
-    fresh_caches(monkeypatch)
+    fresh_caches()
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     assert failing(run()) == expected
+
+
+def test_every_check_has_a_fault_that_fails_it():
+    golden = Path(__file__).parent / "golden" / "verify-all-json.out"
+    names = {check["name"] for check in json.loads(golden.read_text())}
+    assert set().union(*(row[-1] for row in FAULTS.values())) == names

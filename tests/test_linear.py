@@ -1,5 +1,8 @@
 """Vector-space behavior of sparse rational linear combinations."""
 
+import functools
+import importlib
+import pkgutil
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -8,18 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cab
+from cab import linear
+from cab.algebra import circle_trees
+from cab.infinitesimal import coproduct_tree, primitive_basis
 from cab.linear import (
     LinComb,
     Tensor,
     apply_on_leg,
     bilinear,
     bilinear_keys,
+    clear_memos,
     linear_map,
     rank,
     tensor,
     to_records,
 )
 from cab.matching import truncated_polynomial_algebra
+from cab.paths import path_coproduct, path_unit
+from cab.trees import enumerate_trees
 
 KEYS = ["s", "t", "u", "v", "w"]
 
@@ -152,6 +162,55 @@ def test_non_integer_scalars_are_made_exact_or_refused():
     assert LinComb.sum([(x, 0.1), (x, 0.2)]).coeff("t") == 3 * (Fraction(0.1) + Fraction(0.2))
     c = LinComb([("t", Decimal("0.1"))]).coeff("t")
     assert type(c) is Fraction and c == Fraction(1, 10)
+    # ``Fraction`` parses text, so a string must be refused before it is called
+    with pytest.raises(TypeError):
+        LinComb.term("t", "1/2")
+    with pytest.raises(TypeError):
+        LinComb([("t", " 3 ")])
+    with pytest.raises(TypeError):
+        LinComb.sum([(LinComb.term("t"), "2")])
+    with pytest.raises(TypeError):
+        truncated_polynomial_algebra(3).vector(["1/2", "2", 0])
+
+
+LRU_WRAPPER = type(functools.cache(len))  # the type of every functools cache
+
+
+def test_every_memo_in_the_package_is_registered():
+    memos = set()
+    for info in pkgutil.iter_modules(cab.__path__):
+        module = importlib.import_module(f"cab.{info.name}")
+        memos.update(
+            f for f in vars(module).values()
+            if isinstance(f, LRU_WRAPPER) or callable(f) and isinstance(getattr(f, "table", None), dict)
+        )
+    assert memos == set(linear._MEMOS)
+
+
+def test_memo_keys_one_argument_by_itself_and_more_by_their_tuple():
+    # a 1-tuple per entry would be one more object for the garbage collector
+    t, w = enumerate_trees(3, "a")[:2]
+    coproduct_tree(t)
+    circle_trees(t, w)
+    assert t in coproduct_tree.table and (t,) not in coproduct_tree.table
+    assert (t, w) in circle_trees.table
+
+
+def test_clear_memos_empties_every_memo_and_keeps_the_keys():
+    trees = enumerate_trees(4, "ab")
+    deltas = [coproduct_tree(t) for t in trees]
+    circle_trees(trees[0], trees[1])
+    primitive_basis(3, "ab")
+    path_coproduct(path_unit("ab"))
+    assert all(m.table for m in linear._MEMOS)
+    clear_memos()
+    assert [len(m.table) for m in linear._MEMOS] == [0] * len(linear._MEMOS)
+    again = enumerate_trees(4, "ab")
+    assert len(again) == len(trees) and all(t is u for t, u in zip(trees, again))
+    for t, delta in zip(trees, deltas):
+        recomputed = coproduct_tree(t)
+        # tensor keys compare by identity, so equal images hold the same key objects
+        assert recomputed is not delta and recomputed == delta
 
 
 def test_construction_merges_and_drops_zeros():

@@ -17,8 +17,15 @@ For each workload it then runs ``perfbench/run.py --trace 1`` once in each
 checkout at the first seed, records the per-layer metrics that count work,
 and lists the names whose values differ between the sides.  Times, the
 garbage-collection count and the tracing overhead are left out: they vary
-between identical runs.  A run that fails or reports failed checks stops
-the script with exit code 1.
+between identical runs.
+
+Last, for each seed it times ``python -m cab.cli verify --suite S --seed 7
+--json`` in a fresh process, once in each checkout for each of the five
+suites, alternating which side runs first, and summarises each suite's wall
+times under ``verify_suites`` as above.  The path suite is the largest real
+cost, and no benchmark workload runs it.  A run that fails, reports failed
+checks, or prints other output than the other side's stops the script with
+exit code 1.
 """
 
 from __future__ import annotations
@@ -26,13 +33,16 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
 # traced metrics that differ between identical runs
 UNSTEADY = ("runtime.gc.collections", "trace.overhead_ratio")
+VERIFY_SUITES = ("axioms", "coalgebra", "nalgebra", "matching", "path")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -46,6 +56,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"error: {checkout} {workload} seed {seed}: failed checks {result}")
     return record, result
+
+
+def verify_once(checkout: Path, suite: str) -> tuple[float, str]:
+    """One fresh-process ``cab verify`` of ``suite`` in ``checkout``: its wall
+    seconds and its standard output."""
+    env = {**os.environ, "PYTHONPATH": str(checkout.resolve() / "src")}
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "cab.cli", "verify", "--suite", suite, "--seed", "7", "--json"],
+        cwd=checkout, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return time.perf_counter() - start, out
 
 
 def spread(values: list[float]) -> dict:
@@ -121,6 +143,24 @@ def main(argv=None) -> int:
             "pairs": pairs, "metrics": summarise(pairs, better), "traced": traced,
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")  # kept after each workload
+
+    pairs = []
+    for i, seed in enumerate(args.seeds):
+        pair = {"seed": seed, "parent": {}, "change": {}}
+        for j, suite in enumerate(VERIFY_SUITES):
+            order = SIDES if (i + j) % 2 == 0 else SIDES[::-1]
+            outputs = {}
+            for side in order:
+                pair[side][suite], outputs[side] = verify_once(checkouts[side], suite)
+            if outputs["parent"] != outputs["change"]:
+                raise SystemExit(f"error: verify --suite {suite} prints differently on the two sides")
+            print("verify", suite, seed, {side: pair[side][suite] for side in SIDES}, flush=True)
+        pairs.append(pair)
+    report["verify_suites"] = {
+        "command": "python -m cab.cli verify --suite S --seed 7 --json",
+        "pairs": pairs, "metrics": summarise(pairs, dict.fromkeys(VERIFY_SUITES, "lower")),
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 
