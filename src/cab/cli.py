@@ -34,6 +34,9 @@ MAX_BASIS_SIZE = 100_000
 # the largest degree `dims` tabulates: its cost grows about as n^3.5, to a
 # second or two at degree 1000 over 2 colors and a few seconds over 26
 MAX_DIMS_DEGREE = 1000
+# the most digits a star coefficient may have, with its decimal exponent
+# counted as that many digits: Python's own limit on reading an int
+MAX_COEFFICIENT_DIGITS = 4300
 
 
 class UsageError(Exception):
@@ -142,6 +145,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _coefficient(text: str) -> Fraction:
+    """The star coefficient ``text``, refused before ``Fraction`` reads it if it
+    has more than ``MAX_COEFFICIENT_DIGITS`` digits, its exponent included:
+    ``Fraction("1e2000000")`` alone takes 0.6 s, and the cost has no bound."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "")
+    digits = sum(c.isdecimal() for c in mantissa)
+    if exponent.isdecimal():  # one with more digits than the bound passes it
+        too_long = len(exponent) > len(str(MAX_COEFFICIENT_DIGITS))
+        digits += MAX_COEFFICIENT_DIGITS + 1 if too_long else int(exponent)
+    if digits > MAX_COEFFICIENT_DIGITS:
+        raise UsageError(f"star coefficient too large: more than {MAX_COEFFICIENT_DIGITS} digits")
+    return Fraction(text)
+
+
 def _parse_op(name: str):
     if name == "dot":
         return dot
@@ -153,7 +171,7 @@ def _parse_op(name: str):
         if len(parts) != 2:
             raise UsageError("star takes two coefficients, e.g. star:1,1 or star:-1,1")
         try:
-            alpha, beta = Fraction(parts[0]), Fraction(parts[1])
+            alpha, beta = _coefficient(parts[0]), _coefficient(parts[1])
         except ZeroDivisionError as exc:
             raise UsageError(f"bad star coefficients {spec!r}: zero denominator") from exc
         except ValueError as exc:

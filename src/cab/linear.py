@@ -4,17 +4,17 @@ Every algebra in this package is a vector space over Q with some canonical
 basis (trees, words, paths, tensor tuples).  Elements are represented as
 immutable sparse mappings from basis keys to nonzero exact coefficients.  A
 coefficient is a plain ``int`` while it is an integer, which covers every
-structure map here, and becomes a ``fractions.Fraction`` only where a
-division happens (``rank``) or a scalar is not an integer.  Either way it
-compares, hashes and renders by its value (``2 == Fraction(2)``,
-``str(2) == str(Fraction(2))``); no floating point is used anywhere, so
-"equals zero" always means exactly zero.
+structure map here, and becomes a ``fractions.Fraction`` only where a scalar
+is not an integer; ``rank`` divides only exactly, in ``int`` arithmetic.
+Either way it compares, hashes and renders by its value
+(``2 == Fraction(2)``, ``str(2) == str(Fraction(2))``); no floating point is
+used anywhere, so "equals zero" always means exactly zero.
 
 Basis keys only need to be hashable and to render a canonical text via
-``str``; the text is used for deterministic term ordering in output and for
-pivot selection during rank computation.  No dict lookup renders text.  A
-finite algebra's basis index i is an ``int`` key and prints as ``e{i}``, so
-e₀ does not print as the zero element ``0``.
+``str``; the text is used only for deterministic term ordering in output.
+No dict lookup and no ``rank`` renders it.  A finite algebra's basis index i
+is an ``int`` key and prints as ``e{i}``, so e₀ does not print as the zero
+element ``0``.
 ``Tree`` and ``Tensor`` are interned, one object per nested tuple, so they
 keep ``object``'s identity equality and hash, computed in C.  The flat keys
 ``Word`` and ``Path`` are tuples of their items (``_TupleKey``), so their
@@ -46,6 +46,7 @@ them on bare keys.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import operator
 from collections.abc import Callable, Hashable, Iterable, Mapping
@@ -466,30 +467,39 @@ def homomorphism_fails(f: Callable, mul: Callable, target_mul: Callable, x, y) -
 
 
 def rank(vectors: Iterable[LinComb]) -> int:
-    """Rank over Q of a family of sparse vectors, by exact Gaussian elimination.
+    """Rank over Q of a family of sparse vectors, by fraction-free elimination.
 
-    Pivot rows are stored normalized and without their pivot key; incoming
-    rows are reduced until they either vanish or contribute a new pivot.  A
-    row whose pivot is already 1 is stored as it is, so integer rows with
-    unit pivots never leave ``int`` arithmetic.
+    Pivots are numbered in the order they are made.  An incoming row is
+    reduced, as ``p·row − c·pivot_row`` with ``p`` and ``c`` coprime and then
+    divided by the gcd of its entries, on the pivot key with the least number
+    that it still holds, until it holds none; what is left becomes a new pivot
+    on its first key.  So a stored row holds no key that was a pivot when it
+    was stored, each reduction brings in only keys of later pivots, and the
+    loop ends.  A row with a ``Fraction`` entry is first scaled by the lcm of
+    its denominators, so every entry is an ``int``.  No key's text is read.  A
+    row is read from its LinComb's own dict and copied only when reduced, and
+    a stored row never changes.
     """
-    pivots: dict = {}
-    r = 0
+    pivots: dict = {}  # pivot key -> (its number, the key, its row)
     for v in vectors:
-        row = dict(v.items())
-        while row:
-            key = min(row, key=str)
-            c = row.pop(key)
-            if key in pivots:
-                _merge(row, ((k2, c * c2) for k2, c2 in pivots[key].items()), operator.sub)
-            else:
-                if c != 1:
-                    c = Fraction(c)  # exact, so int / int never gives a float
-                    row = {k2: c2 / c for k2, c2 in row.items()}
-                pivots[key] = row
-                r += 1
-                break
-    return r
+        row = v._terms
+        if not {int}.issuperset(map(type, row.values())):
+            m = math.lcm(*(c.denominator for c in row.values()))
+            row = {k: c.numerator * (m // c.denominator) for k, c in row.items()}
+        while held := row.keys() & pivots.keys():
+            _, key, prow = min(map(pivots.get, held))
+            g = math.gcd(prow[key], row[key])
+            p, c = prow[key] // g, row[key] // g
+            if p != 1 or row is v._terms:  # never change a caller's row
+                row = {k: p * x for k, x in row.items()}
+            _merge(row, ((k, c * x) for k, x in prow.items()), operator.sub)
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {k: x // g for k, x in row.items()}
+        if row:
+            key = next(iter(row))
+            pivots[key] = (len(pivots), key, row)
+    return len(pivots)
 
 
 def to_records(x: LinComb) -> list[dict]:

@@ -236,3 +236,29 @@ def test_largest_bases_under_the_limit_are_enumerated(capsys, monkeypatch):
                  ("dims", "--max", "1000", "--colors", "26")):
         assert run(capsys, *argv)[0] == 0
     assert built == [7, 6, 7, 1000]
+
+
+def test_oversized_star_coefficient_is_refused_before_it_is_built(capsys, monkeypatch):
+    read = cli.Fraction
+
+    def small_only(text):
+        assert text == "1", f"Fraction read {text[:20]!r}…"
+        return read(text)
+
+    monkeypatch.setattr(cli, "Fraction", small_only)
+    oversized = (
+        "1e5000", "-2.5E+4300", "1e-4300", "1e-99999999", "1e1_0000", "1e" + "9" * 5000, "1e" + "0" * 5000 + "5",
+        "9" * 4301, "1/" + "3" * 4301, "0." + "0" * 4300 + "1",
+    )
+    for literal in oversized:
+        for op in (f"star:{literal},1", f"star:1,{literal}"):
+            code, out, err = run(capsys, "mul", "--op", op, "(a)", "(b)")
+            assert (code, out) == (1, "")
+            assert err == "error: star coefficient too large: more than 4300 digits\n"
+
+
+def test_star_coefficient_up_to_the_digit_bound_is_read(capsys):
+    code, out, _ = run(capsys, "mul", "--op", "star:1e4299,0", "(a)", "(b)")
+    assert (code, out) == (0, "1" + "0" * 4299 + " (a,b)\n")
+    code, out, _ = run(capsys, "mul", "--op", "star:0,-2.5e-1_0", "(a)", "(b)")
+    assert (code, out) == (0, "-1/4000000000 (b(a))\n")

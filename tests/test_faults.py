@@ -7,7 +7,8 @@ kept would let a fault pass unseen.  ``verify`` binds ``enumerate_trees`` by
 ``from … import``, so that fault patches ``verify``'s binding.  Every memo
 is emptied before each run and after the test, so no faulty entry leaks
 into a later run or test.  Every check of ``cab verify --suite all`` is in
-some row's set.
+some row's set.  Each row's suite is a ``functools.partial``, and each
+distinct clean call runs once per module: the rows share five.
 """
 
 import json
@@ -81,14 +82,14 @@ FAULTS = {
         lambda orig: lambda t, w: (
             -1 * orig(t, w) if not is_irreducible(w) and t.degree + w.degree >= 4 else orig(t, w)
         ),
-        lambda: verify.suite_axioms(max_degree=4),
+        partial(verify.suite_axioms, max_degree=4),
         ["circle-associativity-exhaustive", "circle-associativity-random", "compatibility-exhaustive",
          "compatibility-random", "evaluate-homomorphism", "lie-brackets",
          "star-associativity-random-weights"],
     ),
     "path-product": (
         paths, "_mul_paths", keep_glued_point,
-        lambda: verify.suite_path(points=("a", "b"), max_interior=2),
+        partial(verify.suite_path, points=("a", "b"), max_interior=2),
         ["path-R-semihom", "path-associativity-exhaustive", "path-bimatching-diagnostic",
          "path-laws-random-lincombs", "path-matching-laws-exhaustive", "path-mult-diagnostic-dot",
          "path-unit"],
@@ -96,97 +97,97 @@ FAULTS = {
     "tree-enumeration": (
         verify, "enumerate_trees",
         lambda orig: lambda n, colors: orig(n, colors)[:-1] if n >= 3 else orig(n, colors),
-        lambda: verify.suite_axioms(max_degree=4),
+        partial(verify.suite_axioms, max_degree=4),
         ["catalan-basis-counts"],
     ),
     "path-coproduct": (
         paths, "_coproduct_path", drop_first_cut,
-        lambda: verify.suite_path(points=("a", "b"), max_interior=2),
+        partial(verify.suite_path, points=("a", "b"), max_interior=2),
         ["path-bimatching-diagnostic", "path-coassociativity", "path-coderivation",
          "path-mult-diagnostic-circ", "path-mult-diagnostic-dot"],
     ),
     "tree-coproduct": (
         infinitesimal, "coproduct_tree",
         lambda orig: lambda t: -1 * orig(t) if t.degree >= 3 else orig(t),
-        lambda: verify.suite_coalgebra(max_degree=4),
+        partial(verify.suite_coalgebra, max_degree=4),
         ["closed-vs-recursive-coproduct", "coassociativity", "infinitesimal-circle",
          "infinitesimal-dot", "joni-rota-star", "primitives-closed-under-nops",
          "projector-idempotent-primitive", "projector-series-crosscheck"],
     ),
     "word-coproduct": (
         matching, "_coproduct_word", block_cuts_only,
-        lambda: verify.suite_matching(max_degree=4),
+        partial(verify.suite_matching, max_degree=4),
         ["coproduct-commuting-square", "word-star-joni-rota"],
     ),
     "n-op": (
         infinitesimal, "n_op",
         lambda orig: lambda xs: 2 * orig(xs) if len(xs) >= 4 else orig(xs),
-        lambda: verify.suite_nalgebra(max_degree=4),
+        partial(verify.suite_nalgebra, max_degree=4),
         ["auxiliary-identities", "relations-R1-and-low-degree", "relations-R2-R3-reconstructed"],
     ),
     "word-circle": (
         matching, "m_circ",
         lambda orig: lambda u, w: matching.m_dot(u, w) if len(u) >= 2 else orig(u, w),
-        lambda: verify.suite_matching(max_degree=4),
+        partial(verify.suite_matching, max_degree=4),
         ["composition-homomorphism", "quotient-homomorphism", "tensor-square-star-associative",
          "word-matching-laws-exhaustive", "word-star-joni-rota"],
     ),
     "path-coproduct-edges": (
         paths, "_coproduct_path",
         lambda orig: lambda p: 2 * orig(p) if len(p) == 2 else orig(p),
-        lambda: verify.suite_path(points=("a", "b"), max_interior=2),
+        partial(verify.suite_path, points=("a", "b"), max_interior=2),
         ["path-bimatching-diagnostic", "path-coassociativity", "path-coderivation", "path-grouplike",
          "path-mult-diagnostic-circ", "path-mult-diagnostic-dot"],
     ),
     "circle-scale": (
         algebra, "circle_trees", halve_from_degree_5,
-        lambda: verify.suite_axioms(max_degree=4),
+        partial(verify.suite_axioms, max_degree=4),
         ["circle-associativity-random", "circle-degree-and-integrality", "compatibility-random",
          "evaluate-homomorphism", "lie-brackets", "star-associativity-random-weights"],
     ),
     "circle-scale-coproduct": (
         algebra, "circle_trees", halve_from_degree_5,
-        lambda: verify.suite_coalgebra(max_degree=4),
+        partial(verify.suite_coalgebra, max_degree=4),
         ["coproduct-well-defined-combination", "joni-rota-star", "primitives-closed-under-nops"],
     ),
     "compositions": (
         matching, "compositions",
         lambda orig: lambda n: orig(n)[:-1] if n >= 3 else orig(n),
-        lambda: verify.suite_matching(max_degree=4),
+        partial(verify.suite_matching, max_degree=4),
         ["composition-count"],
     ),
     "projector": (
         infinitesimal, "_projector_tree",
         lambda orig: lambda t: LinComb.zero() if t == parse_tree("(b(a(a)))") else orig(t),
-        lambda: verify.suite_nalgebra(max_degree=4),
+        partial(verify.suite_nalgebra, max_degree=4),
         ["primitive-basis-ranks"],
     ),
     "catalan": (
         infinitesimal, "catalan",
         lambda orig: lambda n: orig(n) + (n == 7),
-        lambda: verify.suite_nalgebra(max_degree=4),
+        partial(verify.suite_nalgebra, max_degree=4),
         ["dimension-report"],
     ),
     "tensor-square-star": (
         matching, "tensor_square_star",
         lambda orig: lambda x, y, dot_fn, circ_fn: bilinear_keys(matching._legwise(dot_fn, circ_fn), x, y),
-        lambda: verify.suite_matching(max_degree=4),
+        partial(verify.suite_matching, max_degree=4),
         ["polynomial-bimatching", "tensor-square-negative-control"],
     ),
     "semihom-r": (
         matching.SemiHomAlgebra, "_r_key", r_plus_r_squared,
-        lambda: verify.suite_matching(max_degree=4),
+        partial(verify.suite_matching, max_degree=4),
         ["polynomial-bimatching", "polynomial-coderivation"],
     ),
     "finite-circ": (
         algebra.FinAlgebra, "circ",
         lambda orig: lambda self, x, y: -orig(self, x, y),
-        lambda: verify.suite_matching(max_degree=4),
+        partial(verify.suite_matching, max_degree=4),
         ["left-multiplication-semihom", "polynomial-bimatching"],
     ),
     "finite-bilinear": (
         algebra, "bilinear", drop_last_left_term,
-        lambda: verify.suite_matching(max_degree=4),
+        partial(verify.suite_matching, max_degree=4),
         ["polynomial-matching-laws"],
     ),
 }
@@ -206,10 +207,26 @@ def failing(checks):
     return sorted(c.name for c in checks if not c.ok)
 
 
+@pytest.fixture(scope="module")
+def clean_failures():
+    """The failing checks of a row's clean run, run once per distinct call."""
+    results = {}
+
+    def failures(run):
+        call = (run.func, run.args, tuple(sorted(run.keywords.items())))
+        if call not in results:
+            results[call] = failing(run())
+        return results[call]
+
+    return failures
+
+
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_planted_fault_fails_exactly_the_checks_that_read_the_map(monkeypatch, fresh_caches, fault):
+def test_planted_fault_fails_exactly_the_checks_that_read_the_map(
+    monkeypatch, fresh_caches, clean_failures, fault
+):
     module, name, plant, run, expected = FAULTS[fault]
-    assert failing(run()) == []
+    assert clean_failures(run) == []
     fresh_caches()
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     assert failing(run()) == expected

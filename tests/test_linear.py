@@ -333,6 +333,106 @@ def test_rank_divides_exactly():
     assert rank([LinComb([("t", 3), ("u", 1)]), LinComb([("t", 1), ("u", 3)])]) == 2
 
 
+def _rows(matrix, keys=None):
+    """The rows of ``matrix`` as LinCombs over ``keys`` (``k0``, ``k1``, … by default)."""
+    keys = keys or [f"k{j}" for j in range(len(matrix[0]))]
+    return [LinComb(zip(keys, row)) for row in matrix]
+
+
+def _product_of_ranks_four(seed):
+    """A·B for random integer A (12×4) and B (4×12) with entries up to ±10⁶: rank 4."""
+    rng = random.Random(seed)
+    a = [[rng.randint(-10**6, 10**6) for _ in range(4)] for _ in range(12)]
+    b = [[rng.randint(-10**6, 10**6) for _ in range(12)] for _ in range(4)]
+    return [[sum(a[i][m] * b[m][j] for m in range(4)) for j in range(12)] for i in range(12)]
+
+
+@pytest.mark.parametrize("trial", range(10))
+def test_rank_of_fraction_rows_matches_dense_eliminator(trial):
+    rng = random.Random(300 + trial)
+    dense = [
+        [Fraction(rng.randint(-9, 9), rng.randint(2, 5)) * rng.randint(0, 1) for _ in range(7)]
+        for _ in range(rng.randint(1, 9))
+    ]
+    assert rank(_rows(dense)) == _dense_rank(dense)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_of_a_product_through_four_dimensions_is_four(seed):
+    assert rank(_rows(_product_of_ranks_four(seed))) == 4
+
+
+def test_rank_of_integer_vandermonde_is_full():
+    assert rank(_rows([[x**j for j in range(10)] for x in range(-4, 6)])) == 10
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_does_not_depend_on_row_or_term_order(seed):
+    rng = random.Random(seed)
+    matrices = [
+        _product_of_ranks_four(seed),
+        [[Fraction(rng.randint(-9, 9), rng.randint(2, 5)) * rng.randint(0, 1) for _ in range(8)]
+         for _ in range(10)],
+    ]
+    for matrix in matrices:
+        rows = _rows(matrix)
+        expected = rank(rows)
+        rng.shuffle(rows)
+        assert rank(rows) == expected
+        assert rank([LinComb(reversed(list(v.items()))) for v in rows]) == expected
+
+
+def test_rank_of_integer_rows_builds_no_fraction(monkeypatch):
+    product = _rows(_product_of_ranks_four(0))
+    vandermonde = _rows([[x**j for j in range(10)] for x in range(10)])
+
+    def no_fraction(*args):
+        raise AssertionError("rank built a Fraction from integer rows")
+
+    monkeypatch.setattr(linear, "Fraction", no_fraction)
+    assert rank(product) == 4
+    assert rank(vandermonde) == 10
+
+
+class _TextlessKey:
+    """A basis key that hashes and compares equal, but has no text and no order."""
+
+    def __init__(self, i):
+        self.i = i
+
+    def __hash__(self):
+        return hash(self.i)
+
+    def __eq__(self, other):
+        return isinstance(other, _TextlessKey) and other.i == self.i
+
+    def __str__(self):
+        raise AssertionError("rank read a key's text")
+
+    def __lt__(self, other):
+        raise AssertionError("rank ordered two keys")
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+def test_rank_reads_no_key_text():
+    keys = [_TextlessKey(j) for j in range(12)]
+    matrix = _product_of_ranks_four(1)
+    fractions = [[Fraction(c, j % 4 + 2) for j, c in enumerate(row)] for row in matrix]
+    assert rank(_rows(matrix, keys)) == 4 == rank(_rows(fractions, keys))
+
+
+def test_rank_leaves_its_input_unchanged():
+    rng = random.Random(7)
+    rows = _rows(_product_of_ranks_four(2)) + _rows(
+        [[Fraction(rng.randint(-9, 9), rng.randint(2, 5)) for _ in range(12)] for _ in range(6)]
+    )
+    rows += [LinComb({"t": 1, "u": 1}), LinComb({"t": 1, "u": -1})]  # reduced on a unit pivot
+    before = [list(v.items()) for v in rows]
+    rank(rows)
+    assert [list(v.items()) for v in rows] == before
+
+
 def test_records_sorted_by_key():
     x = LinComb.term("u", Fraction(-1, 3)) + LinComb.term("t", 2)
     assert to_records(x) == [

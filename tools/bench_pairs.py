@@ -26,14 +26,21 @@ times under ``verify_suites`` as above.  The path suite is the largest real
 cost, and no benchmark workload runs it.  A run that fails, reports failed
 checks, or prints other output than the other side's stops the script with
 exit code 1.
+
+Then it times the Tier-1 command, ``python -m pytest -q
+--continue-on-collection-errors`` with the checkout's ``src`` first on
+``PYTHONPATH``, once in each checkout, and keeps each side's seconds and
+pass count under ``tier1``.  A side whose suite fails stops the script with
+exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import os
+import re
+import statistics
 import subprocess
 import sys
 import time
@@ -43,6 +50,7 @@ SIDES = ("parent", "change")
 # traced metrics that differ between identical runs
 UNSTEADY = ("runtime.gc.collections", "trace.overhead_ratio")
 VERIFY_SUITES = ("axioms", "coalgebra", "nalgebra", "matching", "path")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -68,6 +76,23 @@ def verify_once(checkout: Path, suite: str) -> tuple[float, str]:
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
     ).stdout
     return time.perf_counter() - start, out
+
+
+def tier1_once(checkout: Path) -> dict:
+    """One run of the Tier-1 command in ``checkout``: its wall seconds and
+    the number of tests that passed."""
+    path = os.pathsep.join(filter(None, [str(checkout.resolve() / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, *TIER1], cwd=checkout, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    seconds = time.perf_counter() - start
+    summary = (done.stdout.strip().splitlines() or [""])[-1]
+    passed = re.search(r"(\d+) passed", summary)
+    if done.returncode or not passed:
+        raise SystemExit(f"error: {checkout}: the Tier-1 suite failed: {summary}")
+    return {"seconds": seconds, "passed": int(passed.group(1))}
 
 
 def spread(values: list[float]) -> dict:
@@ -160,6 +185,12 @@ def main(argv=None) -> int:
         "command": "python -m cab.cli verify --suite S --seed 7 --json",
         "pairs": pairs, "metrics": summarise(pairs, dict.fromkeys(VERIFY_SUITES, "lower")),
     }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+
+    report["tier1"] = {"command": " ".join(("python", *TIER1))}
+    for side in SIDES:
+        report["tier1"][side] = tier1_once(checkouts[side])
+        print("tier1", side, report["tier1"][side], flush=True)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
